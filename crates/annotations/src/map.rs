@@ -30,6 +30,12 @@ impl ItemAnnotations {
         self.tags.get(tag).cloned().unwrap_or(EvidenceValue::Null)
     }
 
+    /// Borrowed view of an evidence value, `None` when absent (an explicit
+    /// null entry reads as `Some(Null)`).
+    pub fn evidence_ref(&self, evidence_type: &Iri) -> Option<&EvidenceValue> {
+        self.evidence.get(evidence_type)
+    }
+
     /// Borrowed view of a QA tag's value, `None` when absent. Readers
     /// that only render the value (provenance capture) use this to skip
     /// the clone [`ItemAnnotations::tag`] pays.
@@ -175,16 +181,18 @@ impl AnnotationMap {
 
     /// Restricts the map to the given items (used by split actions to ship
     /// each group with its own sub-map — paper §4.1: output consists of
-    /// pairs `(D_i, Amap_i)`).
+    /// pairs `(D_i, Amap_i)`). Items keep the order of `keep`; unknown and
+    /// repeated ones are skipped. Linear in `keep`: one hash probe and one
+    /// row lookup per item, and the sub-map's rows are bulk-built.
     pub fn restrict(&self, keep: &[Term]) -> AnnotationMap {
-        let mut out = AnnotationMap::new();
-        for item in keep {
-            if let Some(row) = self.rows.get(item) {
-                out.order.push(item.clone());
-                out.rows.insert(item.clone(), row.clone());
-            }
-        }
-        out
+        let mut seen: HashSet<&Term> = HashSet::with_capacity(keep.len());
+        let order: Vec<Term> = keep
+            .iter()
+            .filter(|item| self.rows.contains_key(*item) && seen.insert(*item))
+            .cloned()
+            .collect();
+        let rows = order.iter().map(|item| (item.clone(), self.rows[item].clone())).collect();
+        AnnotationMap { order, rows }
     }
 
     /// Collection statistics over a numeric evidence column: `(mean,
@@ -296,6 +304,37 @@ mod tests {
         assert_eq!(sub.items(), &[item(3), item(1)]);
         assert_eq!(sub.item(&item(3)).unwrap().evidence(&q::iri("HR")), EvidenceValue::Number(3.0));
         assert!(sub.item(&item(2)).is_none());
+    }
+
+    /// `restrict` stays linear at 10⁵ items (the time bound is far above
+    /// what a debug build needs; a quadratic probe misses it by orders of
+    /// magnitude).
+    #[test]
+    fn restrict_is_linear() {
+        let n = 100_000u32;
+        let items: Vec<Term> = (0..n).map(item).collect();
+        let mut m = AnnotationMap::for_items(items.iter().cloned());
+        for it in &items {
+            m.row_mut(it).unwrap().insert_evidence(q::iri("HR"), 1.0.into());
+        }
+        let keep: Vec<Term> = items.iter().step_by(2).cloned().collect();
+        let started = std::time::Instant::now();
+        let sub = m.restrict(&keep);
+        let elapsed = started.elapsed();
+        assert_eq!(sub.items(), keep.as_slice());
+        assert_eq!(sub.item(&item(2)).unwrap().evidence(&q::iri("HR")), EvidenceValue::Number(1.0));
+        assert!(sub.item(&item(1)).is_none());
+        assert!(elapsed < std::time::Duration::from_secs(3), "restrict took {elapsed:?}");
+    }
+
+    #[test]
+    fn restrict_skips_repeats_and_unknown_items() {
+        let mut m = AnnotationMap::new();
+        m.ensure_item(item(1));
+        m.ensure_item(item(2));
+        let sub = m.restrict(&[item(2), item(9), item(2), item(1)]);
+        assert_eq!(sub.items(), &[item(2), item(1)]);
+        assert_eq!(sub.len(), 2);
     }
 
     #[test]

@@ -75,6 +75,14 @@ fn annotate_count() -> &'static Arc<Counter> {
     C.get_or_init(|| qurator_telemetry::metrics().counter("annotations.write.count"))
 }
 
+/// Interns `term` on first use and remembers its id for the rest of a call.
+fn intern_once(store: &mut dyn Storage, slot: &mut Option<u32>, term: &Term) -> Result<u32> {
+    match *slot {
+        Some(id) => Ok(id),
+        None => Ok(*slot.insert(store.intern(term).map_err(rdf_err)?)),
+    }
+}
+
 /// How a repository answers `(data item, evidence type)` lookups — §5 uses
 /// SPARQL; the other modes are the E3 ablation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -247,54 +255,125 @@ impl AnnotationRepository {
         out
     }
 
-    /// Writes one annotation: `item --evidence_type--> value`.
+    /// Writes one annotation: `item --evidence_type--> value` — a one-row
+    /// [`Self::annotate_bulk`].
     ///
     /// Returns an error when `evidence_type` is not a registered subclass of
     /// `q:QualityEvidence`. A repeated write for the same `(item, type)`
     /// replaces the previous value (latest annotation wins).
     pub fn annotate(&self, item: &Term, evidence_type: &Iri, value: EvidenceValue) -> Result<()> {
-        if !self.iq.is_evidence_type(evidence_type) {
-            return Err(AnnotationError::NotEvidence(format!(
-                "<{evidence_type}> (annotating {item})"
-            )));
+        self.annotate_bulk([(item, evidence_type, value)]).map(|_| ())
+    }
+
+    /// Writes annotations `item --evidence_type--> value` in order, with the
+    /// effect of one [`Self::annotate`] call per write, and returns how many
+    /// values were stored. This is the one annotation write path.
+    ///
+    /// * All or nothing: every evidence type is checked against the IQ
+    ///   model (once per distinct type), and every item for being a
+    ///   resource, before the write lock is taken; one bad write rejects
+    ///   the batch with nothing written.
+    /// * A null value records nothing (absence is the null).
+    /// * The latest value replaces any earlier evidence node of the same
+    ///   `(item, type)`, including one written earlier in the same call.
+    /// * Each stored value is a fresh evidence node `_:{name}-e<n>` with the
+    ///   three Figure-2 triples, inserted by id. Vocabulary and type ids
+    ///   are resolved once per call, an item's id and its existing evidence
+    ///   nodes once per run of consecutive writes to that item, and terms
+    ///   are interned in the order single writes would intern them.
+    pub fn annotate_bulk<'a>(
+        &self,
+        writes: impl IntoIterator<Item = (&'a Term, &'a Iri, EvidenceValue)>,
+    ) -> Result<usize> {
+        let writes: Vec<(&Term, &Iri, EvidenceValue)> = writes.into_iter().collect();
+        let mut checked: HashSet<&Iri> = HashSet::new();
+        for &(item, evidence_type, _) in &writes {
+            if checked.insert(evidence_type) && !self.iq.is_evidence_type(evidence_type) {
+                return Err(AnnotationError::NotEvidence(format!(
+                    "<{evidence_type}> (annotating {item})"
+                )));
+            }
+            if matches!(item, Term::Literal(_)) {
+                return Err(AnnotationError::Rdf(format!(
+                    "ill-formed triple: literal {item} cannot carry evidence"
+                )));
+            }
         }
-        let Some(value_term) = value.to_term() else {
-            // Null: record nothing; absence is the null.
-            return Ok(());
-        };
-        let a = Term::iri(rdf::TYPE);
-        let contains = Term::Iri(vocab::contains_evidence());
-        let value_prop = Term::Iri(vocab::value());
+        if writes.iter().all(|(.., value)| value.is_null()) {
+            return Ok(0);
+        }
+        let contains_term = Term::Iri(vocab::contains_evidence());
+        let type_term = Term::iri(rdf::TYPE);
+        let value_term = Term::Iri(vocab::value());
 
         let mut store = self.store.write();
-        // Replace any previous evidence node of this type for this item.
-        let old_nodes: Vec<Term> = store
-            .matching(&TriplePattern::new(item.clone(), contains.clone(), None))
-            .map(|t| t.object)
-            .filter(|node| {
-                store.contains(&Triple::new(
-                    node.clone(),
-                    a.clone(),
-                    Term::Iri(evidence_type.clone()),
-                ))
-            })
-            .collect();
-        for node in old_nodes {
-            store.remove_matching(&TriplePattern::new(node.clone(), None, None));
-            store.remove(&Triple::new(item.clone(), contains.clone(), node));
+        let (mut contains, mut a, mut value_prop) = (None, None, None);
+        let mut type_ids: HashMap<&Iri, u32> = HashMap::new();
+        let mut stored = 0;
+        for run in writes.chunk_by(|x, y| x.0 == y.0) {
+            let item = run[0].0;
+            // this item's evidence nodes as (node, type), one id-space scan
+            let mut existing: Vec<(u32, u32)> = Vec::new();
+            if let (Some(item_id), Some(c), Some(t)) = (
+                store.id_of(item),
+                contains.or_else(|| store.id_of(&contains_term)),
+                a.or_else(|| store.id_of(&type_term)),
+            ) {
+                for node in store.object_ids(item_id, c).collect::<Vec<_>>() {
+                    existing.extend(store.object_ids(node, t).map(|etype| (node, etype)));
+                }
+            }
+            let mut item_slot = None;
+            for &(_, evidence_type, ref value) in run {
+                let Some(literal) = value.to_term() else { continue };
+                let item_id = intern_once(&mut **store, &mut item_slot, item)?;
+                let evidence_term = Term::Iri(evidence_type.clone());
+                let cached_type = type_ids.get(evidence_type).copied();
+                let known_type = cached_type.or_else(|| store.id_of(&evidence_term));
+                // the latest value replaces this type's earlier nodes
+                let replaced: Vec<u32> = existing
+                    .iter()
+                    .filter(|&&(_, etype)| Some(etype) == known_type)
+                    .map(|&(node, _)| node)
+                    .collect();
+                for node in replaced {
+                    let node_term = store.try_term_at(node).ok_or_else(|| {
+                        AnnotationError::Rdf(format!("corrupt store: evidence node id {node}"))
+                    })?;
+                    store.remove_matching(&TriplePattern::new(node_term.clone(), None, None));
+                    store.remove(&Triple::new(item.clone(), contains_term.clone(), node_term));
+                    existing.retain(|&(kept, _)| kept != node);
+                }
+                let node = Term::blank(format!(
+                    "{}-e{}",
+                    self.name,
+                    self.blank_counter.fetch_add(1, Ordering::Relaxed)
+                ));
+                let c = intern_once(&mut **store, &mut contains, &contains_term)?;
+                let node_id = store.intern(&node).map_err(rdf_err)?;
+                let t = intern_once(&mut **store, &mut a, &type_term)?;
+                let type_id = match known_type {
+                    Some(id) => id,
+                    None => store.intern(&evidence_term).map_err(rdf_err)?,
+                };
+                if cached_type.is_none() {
+                    type_ids.insert(evidence_type, type_id);
+                }
+                let v = intern_once(&mut **store, &mut value_prop, &value_term)?;
+                let literal_id = store.intern(&literal).map_err(rdf_err)?;
+                store
+                    .insert_ids(&[
+                        (item_id, c, node_id),
+                        (node_id, t, type_id),
+                        (node_id, v, literal_id),
+                    ])
+                    .map_err(rdf_err)?;
+                existing.push((node_id, type_id));
+                stored += 1;
+            }
         }
-        let node = Term::blank(format!(
-            "{}-e{}",
-            self.name,
-            self.blank_counter.fetch_add(1, Ordering::Relaxed)
-        ));
-        store.insert(Triple::new(item.clone(), contains.clone(), node.clone())).map_err(rdf_err)?;
-        store
-            .insert(Triple::new(node.clone(), a, Term::Iri(evidence_type.clone())))
-            .map_err(rdf_err)?;
-        store.insert(Triple::new(node, value_prop, value_term)).map_err(rdf_err)?;
-        annotate_count().inc();
-        Ok(())
+        annotate_count().add(stored as u64);
+        Ok(stored)
     }
 
     /// Records the data-entity type of an item (`rdf:type` triple).
@@ -560,16 +639,20 @@ impl AnnotationRepository {
         Ok(map)
     }
 
-    /// Bulk-writes every evidence entry of an annotation map.
+    /// Bulk-writes every evidence entry of an annotation map (one
+    /// [`Self::annotate_bulk`] call); returns the entries written, nulls
+    /// included.
     pub fn store_map(&self, map: &AnnotationMap) -> Result<usize> {
-        let mut written = 0;
-        for item in map.items() {
-            let row = map.item(item).expect("listed");
-            for (evidence_type, value) in row.evidence_entries() {
-                self.annotate(item, evidence_type, value.clone())?;
-                written += 1;
-            }
-        }
+        let writes: Vec<(&Term, &Iri, EvidenceValue)> = map
+            .items()
+            .iter()
+            .flat_map(|item| {
+                let row = map.item(item).expect("listed");
+                row.evidence_entries().map(move |(etype, value)| (item, etype, value.clone()))
+            })
+            .collect();
+        let written = writes.len();
+        self.annotate_bulk(writes)?;
         Ok(written)
     }
 

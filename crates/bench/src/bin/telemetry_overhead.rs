@@ -100,6 +100,7 @@ fn main() {
     let result = BenchResult::new("telemetry_overhead")
         .config("n_items", n)
         .config("iters", ITERS)
+        .config("nproc", std::thread::available_parallelism().map_or(1, |p| p.get()))
         .config("workload", "cache-seeded quality process (E3b shape)")
         .metric("baseline_min_ms", base_min)
         .metric("baseline_median_ms", base_med)

@@ -15,15 +15,17 @@
 use crate::convert;
 use crate::{QuratorError, Result};
 use parking_lot::Mutex;
+use qurator_annotations::map::ItemAnnotations;
 use qurator_annotations::{AnnotationMap, AnnotationRepository, EvidenceValue};
-use qurator_expr::{Env, Expr, Value};
+use qurator_expr::{Env, Expr, Scope, Value};
 use qurator_ontology::IqModel;
 use qurator_rdf::term::{Iri, Term};
 use qurator_services::{AnnotationService, AssertionService, DataSet, VariableBindings};
 use qurator_telemetry::stats::{NodeStats, StatsCollector};
 use qurator_telemetry::{Counter, Histogram};
 use qurator_workflow::{Context, Data, Processor, WorkflowError};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -562,6 +564,10 @@ impl ActionProcessor {
     }
 
     /// Runs the action directly (shared with the interpreter path).
+    ///
+    /// Membership is recorded by row position, and each group is cut from
+    /// the input in one linear pass. Conditions read each row in place
+    /// through a [`RowScope`] over bindings resolved once per call.
     pub fn apply(&self, dataset: &DataSet, map: &AnnotationMap) -> Result<Vec<GroupResult>> {
         let started = Instant::now();
         // A short-circuited slot needs no parse and no per-item evaluation
@@ -569,67 +575,58 @@ impl ActionProcessor {
             Eval(Expr),
             Const(bool),
         }
-        let slot_cond = |slot: usize, source: &str| -> Result<Cond> {
-            match self.short_circuit.get(slot).copied().flatten() {
-                Some(verdict) => Ok(Cond::Const(verdict)),
-                None => Ok(Cond::Eval(self.condition(source)?)),
-            }
-        };
-        let conditions: Vec<(String, Cond)> = match &self.action {
-            CompiledAction::Filter { condition } => {
-                vec![(self.action_name.clone(), slot_cond(0, condition)?)]
-            }
-            CompiledAction::Split { groups } => groups
-                .iter()
-                .enumerate()
-                .map(|(slot, (group, condition))| {
-                    Ok((format!("{}/{group}", self.action_name), slot_cond(slot, condition)?))
+        let conditions: Vec<(String, Cond)> = self
+            .condition_slots()
+            .into_iter()
+            .enumerate()
+            .map(|(slot, (name, source))| {
+                Ok(match self.short_circuit.get(slot).copied().flatten() {
+                    Some(verdict) => (name, Cond::Const(verdict)),
+                    None => (name, Cond::Eval(self.condition(source)?)),
                 })
-                .collect::<Result<Vec<_>>>()?,
-        };
-        let is_split = matches!(self.action, CompiledAction::Split { .. });
+            })
+            .collect::<Result<_>>()?;
+        let bindings = RowBindings::resolve(
+            &self.iq,
+            map,
+            conditions.iter().filter_map(|(_, cond)| match cond {
+                Cond::Eval(expr) => Some(expr),
+                Cond::Const(_) => None,
+            }),
+        );
 
-        let needs_env = conditions.iter().any(|(_, c)| matches!(c, Cond::Eval(_)));
-        let mut memberships: Vec<Vec<Term>> = vec![Vec::new(); conditions.len()];
-        let mut default_group: Vec<Term> = Vec::new();
-        for item in dataset.items() {
-            let env = if needs_env { build_env(&self.iq, map, item) } else { Env::new() };
+        let mut memberships: Vec<Vec<usize>> = vec![Vec::new(); conditions.len()];
+        let mut default_group: Vec<usize> = Vec::new();
+        for (position, item) in dataset.items().iter().enumerate() {
+            let scope = bindings.scope(map, item);
             let mut matched_any = false;
             for (slot, (_, cond)) in conditions.iter().enumerate() {
                 let accepted = match cond {
                     Cond::Const(verdict) => *verdict,
-                    Cond::Eval(expr) => expr.accepts(&env).map_err(|e| {
-                        QuratorError::Execution(format!(
-                            "evaluating action {:?}: {e}",
-                            self.action_name
-                        ))
-                    })?,
+                    Cond::Eval(expr) => self.outcome(expr, &scope)? == ConditionOutcome::Accepted,
                 };
                 if accepted {
-                    memberships[slot].push(item.clone());
+                    memberships[slot].push(position);
                     matched_any = true;
                 }
             }
             if !matched_any {
-                default_group.push(item.clone());
+                default_group.push(position);
             }
         }
 
+        let group = |name: String, positions: &[usize]| {
+            let members: Vec<Term> =
+                positions.iter().map(|&position| dataset.items()[position].clone()).collect();
+            GroupResult { name, dataset: dataset.select(positions), map: map.restrict(&members) }
+        };
         let mut out = Vec::with_capacity(conditions.len() + 1);
-        for ((name, _), members) in conditions.iter().zip(memberships) {
-            out.push(GroupResult {
-                name: name.clone(),
-                dataset: dataset.restrict(&members),
-                map: map.restrict(&members),
-            });
+        for ((name, _), positions) in conditions.into_iter().zip(&memberships) {
+            out.push(group(name, positions));
         }
-        if is_split {
+        if matches!(self.action, CompiledAction::Split { .. }) {
             // §4.1: the k+1-th output is the default group.
-            out.push(GroupResult {
-                name: format!("{}/default", self.action_name),
-                dataset: dataset.restrict(&default_group),
-                map: map.restrict(&default_group),
-            });
+            out.push(group(format!("{}/default", self.action_name), &default_group));
         }
         if let Some(stats) = &self.stats {
             stats.record(
@@ -648,21 +645,131 @@ impl ActionProcessor {
         }
         Ok(out)
     }
-}
 
-/// Builds the per-item evaluation environment: every QA tag under its tag
-/// name, every evidence value under its evidence-type local name.
-pub fn build_env(iq: &IqModel, map: &AnnotationMap, item: &Term) -> Env {
-    let mut env = Env::new();
-    if let Some(row) = map.item(item) {
-        for (evidence_type, value) in row.evidence_entries() {
-            env.bind(evidence_type.local_name(), evidence_to_value(iq, value));
-        }
-        for (tag, value) in row.tag_entries() {
-            env.bind(tag, evidence_to_value(iq, value));
+    /// `(group name, condition source)` per condition slot, in port order.
+    fn condition_slots(&self) -> Vec<(String, &str)> {
+        match &self.action {
+            CompiledAction::Filter { condition } => {
+                vec![(self.action_name.clone(), condition.as_str())]
+            }
+            CompiledAction::Split { groups } => groups
+                .iter()
+                .map(|(group, condition)| {
+                    (format!("{}/{group}", self.action_name), condition.as_str())
+                })
+                .collect(),
         }
     }
-    env
+
+    /// One condition on one row: the evaluation `apply` and `explain` share.
+    fn outcome(&self, expr: &Expr, scope: &RowScope<'_, '_>) -> Result<ConditionOutcome> {
+        let value = expr.eval(scope).map_err(|e| {
+            QuratorError::Execution(format!("evaluating action {:?}: {e}", self.action_name))
+        })?;
+        Ok(match value {
+            Value::Bool(true) => ConditionOutcome::Accepted,
+            Value::Null => ConditionOutcome::Unknown,
+            _ => ConditionOutcome::Rejected,
+        })
+    }
+}
+
+/// A set of condition variables resolved against one annotation map, once
+/// per action call. A variable reads its row's QA tag of that name when
+/// the row has one; otherwise the evidence value whose type has that local
+/// name (the last such type in IRI order, should several share it).
+/// Classification labels are compacted to symbols once per distinct label.
+struct RowBindings<'m> {
+    iq: &'m IqModel,
+    /// variable name → candidate evidence types, ascending IRI order
+    vars: Vec<(String, Vec<&'m Iri>)>,
+    symbols: HashMap<&'m Iri, Value>,
+}
+
+impl<'m> RowBindings<'m> {
+    fn resolve<'e>(
+        iq: &'m IqModel,
+        map: &'m AnnotationMap,
+        conditions: impl Iterator<Item = &'e Expr>,
+    ) -> Self {
+        let mut vars: Vec<(String, Vec<&'m Iri>)> = Vec::new();
+        for name in conditions.flat_map(Expr::variables) {
+            if !vars.iter().any(|(known, _)| *known == name) {
+                vars.push((name, Vec::new()));
+            }
+        }
+        let mut symbols: HashMap<&'m Iri, Value> = HashMap::new();
+        if !vars.is_empty() {
+            let mut note_symbol = |value: &'m EvidenceValue| {
+                if let EvidenceValue::Class(class) = value {
+                    symbols.entry(class).or_insert_with(|| evidence_to_value(iq, value));
+                }
+            };
+            for (_, row) in map.rows() {
+                for (evidence_type, value) in row.evidence_entries() {
+                    let local = evidence_type.local_name();
+                    if let Some((_, types)) = vars.iter_mut().find(|(name, _)| name == local) {
+                        if !types.contains(&evidence_type) {
+                            types.push(evidence_type);
+                        }
+                        note_symbol(value);
+                    }
+                }
+                for (name, _) in &vars {
+                    if let Some(value) = row.tag_ref(name) {
+                        note_symbol(value);
+                    }
+                }
+            }
+            for (_, types) in &mut vars {
+                types.sort();
+            }
+        }
+        RowBindings { iq, vars, symbols }
+    }
+
+    /// The scope of one item's row (no row lookup when nothing is read).
+    fn scope<'s>(&'s self, map: &'m AnnotationMap, item: &Term) -> RowScope<'s, 'm> {
+        let row = if self.vars.is_empty() { None } else { map.item(item) };
+        RowScope { bindings: self, row }
+    }
+}
+
+/// One row of an annotation map seen as a condition scope: values are
+/// read in place, and only text values are copied.
+struct RowScope<'s, 'm> {
+    bindings: &'s RowBindings<'m>,
+    row: Option<&'m ItemAnnotations>,
+}
+
+impl RowScope<'_, '_> {
+    /// Every resolved variable with the value this row gives it.
+    fn environment(&self) -> Env {
+        self.bindings
+            .vars
+            .iter()
+            .map(|(name, _)| (name.clone(), self.value(name).into_owned()))
+            .collect()
+    }
+}
+
+impl Scope for RowScope<'_, '_> {
+    fn value(&self, name: &str) -> Cow<'_, Value> {
+        let found = self.row.and_then(|row| {
+            let (_, types) = self.bindings.vars.iter().find(|(known, _)| known == name)?;
+            row.tag_ref(name).or_else(|| types.iter().rev().find_map(|t| row.evidence_ref(t)))
+        });
+        match found {
+            None | Some(EvidenceValue::Null) => Cow::Owned(Value::Null),
+            Some(EvidenceValue::Number(n)) => Cow::Owned(Value::Num(*n)),
+            Some(EvidenceValue::Bool(b)) => Cow::Owned(Value::Bool(*b)),
+            Some(EvidenceValue::Text(text)) => Cow::Owned(Value::Str(text.clone())),
+            Some(value @ EvidenceValue::Class(class)) => match self.bindings.symbols.get(class) {
+                Some(symbol) => Cow::Borrowed(symbol),
+                None => Cow::Owned(evidence_to_value(self.bindings.iq, value)),
+            },
+        }
+    }
 }
 
 /// Converts an annotation value into a condition-language value.
@@ -927,15 +1034,84 @@ mod tests {
     }
 
     #[test]
-    fn env_binds_tags_and_evidence_locals() {
+    fn conditions_read_tags_and_evidence_locals() {
         let iq = iq();
         let mut map = AnnotationMap::new();
         map.set_evidence(&item(1), q::iri("MassCoverage"), 33.0.into());
         map.set_tag(&item(1), "ScoreClass", EvidenceValue::Class(q::iri("high")));
-        let env = build_env(&iq, &map, &item(1));
+        let action = ActionProcessor::new(
+            "keep",
+            CompiledAction::Filter {
+                condition: "ScoreClass in q:high and MassCoverage > 30 or Absent > 0".into(),
+            },
+            iq,
+        );
+        let ds = DataSet::from_items([item(1)]);
+        let explained = action.explain(&ds, &map).unwrap();
+        let env = &explained[0].environment;
         assert_eq!(env.lookup("MassCoverage"), Value::Num(33.0));
         assert_eq!(env.lookup("ScoreClass"), Value::Symbol("q:high".into()));
         assert_eq!(env.lookup("Absent"), Value::Null);
+        assert_eq!(explained[0].outcomes[0].1, ConditionOutcome::Accepted);
+        assert_eq!(action.apply(&ds, &map).unwrap()[0].dataset.items(), &[item(1)]);
+    }
+
+    #[test]
+    fn a_tag_shadows_evidence_and_the_last_iri_wins_a_shared_local_name() {
+        let iq = iq();
+        let mut map = AnnotationMap::new();
+        // tag and evidence share the name: the tag is what conditions see
+        map.set_evidence(&item(1), q::iri("MassCoverage"), 33.0.into());
+        map.set_tag(&item(1), "MassCoverage", 1.0.into());
+        // two evidence types with one local name: the later IRI wins
+        map.set_evidence(&item(2), Iri::new("http://b.example/ns#Depth"), 5.0.into());
+        map.set_evidence(&item(2), Iri::new("http://a.example/ns#Depth"), 1.0.into());
+        // a null tag still shadows the evidence value
+        map.set_evidence(&item(3), q::iri("MassCoverage"), 33.0.into());
+        map.set_tag(&item(3), "MassCoverage", EvidenceValue::Null);
+        let ds = DataSet::from_items([item(1), item(2), item(3)]);
+        let action = ActionProcessor::new(
+            "triage",
+            CompiledAction::Split {
+                groups: vec![
+                    ("covered".into(), "MassCoverage > 10".into()),
+                    ("deep".into(), "Depth > 3".into()),
+                ],
+            },
+            iq,
+        );
+        let groups = action.apply(&ds, &map).unwrap();
+        assert!(groups[0].dataset.is_empty(), "tags shadow evidence");
+        assert_eq!(groups[1].dataset.items(), &[item(2)]);
+        assert_eq!(groups[2].dataset.items(), &[item(1), item(3)]);
+        let explained = action.explain(&ds, &map).unwrap();
+        assert_eq!(explained[2].outcomes[0].1, ConditionOutcome::Unknown);
+    }
+
+    #[test]
+    fn split_item_in_two_groups_leaves_default_empty() {
+        let action = ActionProcessor::new(
+            "triage",
+            CompiledAction::Split {
+                groups: vec![
+                    ("any".into(), "HitRatio > 0".into()),
+                    ("strong".into(), "HitRatio >= 0.5".into()),
+                ],
+            },
+            iq(),
+        );
+        let ds = sample_dataset();
+        let mut map = AnnotationMap::new();
+        for i in 1..=3u32 {
+            map.set_evidence(&item(i), q::iri("HitRatio"), ds.field(&item(i), "hitRatio"));
+        }
+        let groups = action.apply(&ds, &map).unwrap();
+        let names: Vec<&str> = groups.iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(names, ["triage/any", "triage/strong", "triage/default"]);
+        assert_eq!(groups[0].dataset.items(), &[item(1), item(2), item(3)]);
+        assert_eq!(groups[1].dataset.items(), &[item(1), item(2)]);
+        assert_eq!(groups[1].map.items(), &[item(1), item(2)]);
+        assert!(groups[2].dataset.is_empty() && groups[2].map.is_empty());
     }
 }
 
@@ -949,7 +1125,8 @@ pub struct ItemExplanation {
     /// Per condition (group name for splitters, action name for filters):
     /// the evaluated outcome.
     pub outcomes: Vec<(String, ConditionOutcome)>,
-    /// The variable environment the conditions saw (tags + evidence).
+    /// The values the conditions read: one binding per variable they
+    /// reference (`Null` where the row has no value).
     pub environment: Env,
 }
 
@@ -965,7 +1142,9 @@ pub enum ConditionOutcome {
 
 impl ActionProcessor {
     /// Evaluates the action's conditions per item *without* producing
-    /// groups, returning a full explanation trace.
+    /// groups, returning a full explanation trace. Runs the same per-row
+    /// evaluation as [`Self::apply`] (short-circuit hints aside: every
+    /// condition is evaluated), so the two cannot disagree.
     pub fn explain(&self, dataset: &DataSet, map: &AnnotationMap) -> Result<Vec<ItemExplanation>> {
         let conditions: Vec<(String, Expr)> = match &self.action {
             CompiledAction::Filter { condition } => {
@@ -976,22 +1155,19 @@ impl ActionProcessor {
                 .map(|(group, condition)| Ok((group.clone(), self.condition(condition)?)))
                 .collect::<Result<Vec<_>>>()?,
         };
+        let bindings = RowBindings::resolve(&self.iq, map, conditions.iter().map(|(_, e)| e));
         let mut out = Vec::with_capacity(dataset.items().len());
         for item in dataset.items() {
-            let env = build_env(&self.iq, map, item);
-            let mut outcomes = Vec::with_capacity(conditions.len());
-            for (name, expr) in &conditions {
-                let value = expr.eval(&env).map_err(|e| {
-                    QuratorError::Execution(format!("explaining {:?}: {e}", self.action_name))
-                })?;
-                let outcome = match value {
-                    Value::Bool(true) => ConditionOutcome::Accepted,
-                    Value::Null => ConditionOutcome::Unknown,
-                    _ => ConditionOutcome::Rejected,
-                };
-                outcomes.push((name.clone(), outcome));
-            }
-            out.push(ItemExplanation { item: item.clone(), outcomes, environment: env });
+            let scope = bindings.scope(map, item);
+            let outcomes = conditions
+                .iter()
+                .map(|(name, expr)| Ok((name.clone(), self.outcome(expr, &scope)?)))
+                .collect::<Result<Vec<_>>>()?;
+            out.push(ItemExplanation {
+                item: item.clone(),
+                outcomes,
+                environment: scope.environment(),
+            });
         }
         Ok(out)
     }
@@ -1059,5 +1235,114 @@ mod explain_tests {
             assert_eq!(hi.dataset.items().contains(&explanation.item), accepted_hi);
         }
         let _ = q::iri("HitRatio");
+    }
+}
+
+#[cfg(test)]
+mod scope_prop_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use qurator_rdf::namespace::q;
+
+    /// The per-item environment conditions were specified against: every
+    /// evidence value under its type's local name (IRI order, later wins),
+    /// then every tag under its name (tags win).
+    fn reference_env(iq: &IqModel, map: &AnnotationMap, item: &Term) -> Env {
+        let mut env = Env::new();
+        if let Some(row) = map.item(item) {
+            for (evidence_type, value) in row.evidence_entries() {
+                env.bind(evidence_type.local_name(), evidence_to_value(iq, value));
+            }
+            for (tag, value) in row.tag_entries() {
+                env.bind(tag, evidence_to_value(iq, value));
+            }
+        }
+        env
+    }
+
+    fn arb_value() -> impl Strategy<Value = EvidenceValue> {
+        prop_oneof![
+            Just(EvidenceValue::Null),
+            (-5i32..5).prop_map(|n| EvidenceValue::Number(n as f64)),
+            (0usize..3).prop_map(|i| EvidenceValue::Class(q::iri(["high", "mid", "low"][i]))),
+            (0usize..2).prop_map(|i| EvidenceValue::Text(["high", "x"][i].to_string())),
+        ]
+    }
+
+    const CONDITIONS: [&str; 5] = [
+        "ScoreClass in q:high, q:mid and HR_MC > 0",
+        "HitRatio >= 1 or ScoreClass = 'high'",
+        "not (HR_MC < 0) and HitRatio in 1, 2, q:low",
+        "ScoreClass in high, mid",
+        "HitRatio = HR_MC",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// Reading rows in place gives every condition the outcome the
+        /// reference environment gives it, including where tags shadow
+        /// evidence and two evidence types share a local name.
+        #[test]
+        fn row_scope_matches_the_reference_environment(
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0usize..5, arb_value()), 0..5),
+                1..12,
+            ),
+        ) {
+            let iq = Arc::new(IqModel::with_proteomics_extension().unwrap());
+            let mut map = AnnotationMap::new();
+            let mut ds = DataSet::new();
+            for (i, entries) in rows.iter().enumerate() {
+                let it = Term::iri(format!("urn:lsid:t:h:{i}"));
+                ds.push(it.clone(), [] as [(String, EvidenceValue); 0]);
+                if i % 5 == 4 {
+                    continue; // an item the map has no row for
+                }
+                map.ensure_item(it.clone());
+                for (slot, value) in entries {
+                    match slot {
+                        0 => map.set_evidence(&it, q::iri("HitRatio"), value.clone()),
+                        1 => map.set_evidence(&it, Iri::new("http://z.example/ns#HitRatio"), value.clone()),
+                        2 => map.set_tag(&it, "HR_MC", value.clone()),
+                        3 => map.set_tag(&it, "ScoreClass", value.clone()),
+                        _ => map.set_tag(&it, "HitRatio", value.clone()),
+                    }
+                }
+            }
+            for condition in CONDITIONS {
+                let expr = qurator_expr::parse(condition).unwrap();
+                let action = ActionProcessor::new(
+                    "keep",
+                    CompiledAction::Filter { condition: condition.into() },
+                    iq.clone(),
+                );
+                let explained = action.explain(&ds, &map);
+                let expected: std::result::Result<Vec<Value>, _> = ds
+                    .items()
+                    .iter()
+                    .map(|it| expr.eval(&reference_env(&iq, &map, it)))
+                    .collect();
+                let (explained, expected) = match (explained, expected) {
+                    (Ok(a), Ok(b)) => (a, b),
+                    (Err(_), Err(_)) => continue,
+                    (a, b) => panic!("{condition}: {a:?} vs {b:?}"),
+                };
+                for (explanation, value) in explained.iter().zip(&expected) {
+                    let want = match value {
+                        Value::Bool(true) => ConditionOutcome::Accepted,
+                        Value::Null => ConditionOutcome::Unknown,
+                        _ => ConditionOutcome::Rejected,
+                    };
+                    prop_assert_eq!(explanation.outcomes[0].1, want, "{}", condition);
+                }
+                let accepted: Vec<Term> = explained
+                    .iter()
+                    .filter(|e| e.outcomes[0].1 == ConditionOutcome::Accepted)
+                    .map(|e| e.item.clone())
+                    .collect();
+                let groups = action.apply(&ds, &map).unwrap();
+                prop_assert_eq!(groups[0].dataset.items(), accepted.as_slice());
+            }
+        }
     }
 }

@@ -4,14 +4,21 @@
 use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::value::Value;
 use crate::{ExprError, Result};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+/// Where a condition's variables get their values. Evaluation reads
+/// through this trait and borrows what it can, so a scope that reads an
+/// annotation-map row in place costs no allocation per variable.
+pub trait Scope {
+    /// The value of `name`; `Null` when unbound.
+    fn value(&self, name: &str) -> Cow<'_, Value>;
+}
 
 /// An evaluation environment: variable name → value.
 ///
-/// In the quality framework one `Env` is built per data item from its
-/// annotation-map row (evidence values + QA tags); unbound variables
-/// evaluate to [`Value::Null`], mirroring null evidence values in the
-/// paper's annotation maps.
+/// The owned [`Scope`]: unbound variables evaluate to [`Value::Null`],
+/// mirroring null evidence values in the paper's annotation maps.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Env {
     bindings: BTreeMap<String, Value>,
@@ -45,6 +52,12 @@ impl Env {
     }
 }
 
+impl Scope for Env {
+    fn value(&self, name: &str) -> Cow<'_, Value> {
+        self.bindings.get(name).map_or(Cow::Owned(Value::Null), Cow::Borrowed)
+    }
+}
+
 impl FromIterator<(String, Value)> for Env {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
         Env { bindings: iter.into_iter().collect() }
@@ -52,138 +65,144 @@ impl FromIterator<(String, Value)> for Env {
 }
 
 impl Expr {
-    /// Evaluates the expression under `env`.
+    /// Evaluates the expression under `scope`.
     ///
     /// Null propagation: any arithmetic or comparison with a `Null` operand
     /// yields `Null`; `and`/`or` use Kleene three-valued logic so that
     /// `false and null = false` and `true or null = true`.
-    pub fn eval(&self, env: &Env) -> Result<Value> {
+    pub fn eval<S: Scope + ?Sized>(&self, scope: &S) -> Result<Value> {
+        self.eval_in(scope).map(Cow::into_owned)
+    }
+
+    /// Convenience: evaluates as an acceptance decision (`Bool(true)` only).
+    pub fn accepts<S: Scope + ?Sized>(&self, scope: &S) -> Result<bool> {
+        Ok(self.eval_in(scope)?.as_accepted())
+    }
+
+    /// The evaluator: constants and variables come back borrowed, computed
+    /// values owned (booleans, numbers and nulls, which never allocate).
+    fn eval_in<'a, S: Scope + ?Sized>(&'a self, scope: &'a S) -> Result<Cow<'a, Value>> {
         match self {
-            Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(name) => Ok(env.lookup(name)),
-            Expr::Unary(UnaryOp::Not, inner) => match inner.eval(env)? {
-                Value::Bool(b) => Ok(Value::Bool(!b)),
-                Value::Null => Ok(Value::Null),
+            Expr::Const(v) => Ok(Cow::Borrowed(v)),
+            Expr::Var(name) => Ok(scope.value(name)),
+            Expr::Unary(UnaryOp::Not, inner) => match &*inner.eval_in(scope)? {
+                Value::Bool(b) => Ok(Cow::Owned(Value::Bool(!b))),
+                Value::Null => Ok(Cow::Owned(Value::Null)),
                 other => Err(ExprError::Eval(format!("'not' applied to {other}"))),
             },
-            Expr::Unary(UnaryOp::Neg, inner) => match inner.eval(env)? {
-                Value::Num(n) => Ok(Value::Num(-n)),
-                Value::Null => Ok(Value::Null),
+            Expr::Unary(UnaryOp::Neg, inner) => match &*inner.eval_in(scope)? {
+                Value::Num(n) => Ok(Cow::Owned(Value::Num(-n))),
+                Value::Null => Ok(Cow::Owned(Value::Null)),
                 other => Err(ExprError::Eval(format!("'-' applied to {other}"))),
             },
-            Expr::Binary(op, a, b) => self.eval_binary(*op, a, b, env),
+            Expr::Binary(op, a, b) => eval_binary(*op, a, b, scope).map(Cow::Owned),
             Expr::In(lhs, items) => {
-                let needle = lhs.eval(env)?;
+                let needle = lhs.eval_in(scope)?;
                 if needle.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let mut saw_null = false;
                 for item in items {
-                    match needle.value_eq(&item.eval(env)?) {
-                        Some(true) => return Ok(Value::Bool(true)),
+                    match needle.value_eq(&*item.eval_in(scope)?) {
+                        Some(true) => return Ok(Cow::Owned(Value::Bool(true))),
                         Some(false) => {}
                         None => saw_null = true,
                     }
                 }
-                Ok(if saw_null { Value::Null } else { Value::Bool(false) })
+                Ok(Cow::Owned(if saw_null { Value::Null } else { Value::Bool(false) }))
             }
         }
     }
+}
 
-    fn eval_binary(&self, op: BinaryOp, a: &Expr, b: &Expr, env: &Env) -> Result<Value> {
-        use BinaryOp::*;
-        match op {
-            And => {
-                let va = truth(a.eval(env)?)?;
-                if va == Some(false) {
-                    return Ok(Value::Bool(false));
-                }
-                let vb = truth(b.eval(env)?)?;
-                Ok(match (va, vb) {
-                    (_, Some(false)) => Value::Bool(false),
-                    (Some(true), Some(true)) => Value::Bool(true),
-                    _ => Value::Null,
-                })
+fn eval_binary<S: Scope + ?Sized>(op: BinaryOp, a: &Expr, b: &Expr, scope: &S) -> Result<Value> {
+    use BinaryOp::*;
+    match op {
+        And => {
+            let va = truth(&*a.eval_in(scope)?)?;
+            if va == Some(false) {
+                return Ok(Value::Bool(false));
             }
-            Or => {
-                let va = truth(a.eval(env)?)?;
-                if va == Some(true) {
-                    return Ok(Value::Bool(true));
-                }
-                let vb = truth(b.eval(env)?)?;
-                Ok(match (va, vb) {
-                    (_, Some(true)) => Value::Bool(true),
-                    (Some(false), Some(false)) => Value::Bool(false),
-                    _ => Value::Null,
-                })
+            let vb = truth(&*b.eval_in(scope)?)?;
+            Ok(match (va, vb) {
+                (_, Some(false)) => Value::Bool(false),
+                (Some(true), Some(true)) => Value::Bool(true),
+                _ => Value::Null,
+            })
+        }
+        Or => {
+            let va = truth(&*a.eval_in(scope)?)?;
+            if va == Some(true) {
+                return Ok(Value::Bool(true));
             }
-            Eq | Ne => {
-                let va = a.eval(env)?;
-                let vb = b.eval(env)?;
-                match va.value_eq(&vb) {
-                    None => Ok(Value::Null),
-                    Some(eq) => Ok(Value::Bool(if op == Eq { eq } else { !eq })),
-                }
-            }
-            Lt | Le | Gt | Ge => {
-                let va = a.eval(env)?;
-                let vb = b.eval(env)?;
-                if va.is_null() || vb.is_null() {
-                    return Ok(Value::Null);
-                }
-                let ord = va
-                    .value_cmp(&vb)
-                    .ok_or_else(|| ExprError::Eval(format!("cannot order {va} and {vb}")))?;
-                use std::cmp::Ordering::*;
-                Ok(Value::Bool(match op {
-                    Lt => ord == Less,
-                    Le => ord != Greater,
-                    Gt => ord == Greater,
-                    Ge => ord != Less,
-                    _ => unreachable!(),
-                }))
-            }
-            Add | Sub | Mul | Div => {
-                let va = a.eval(env)?;
-                let vb = b.eval(env)?;
-                if va.is_null() || vb.is_null() {
-                    return Ok(Value::Null);
-                }
-                let (x, y) = match (va.as_num(), vb.as_num()) {
-                    (Some(x), Some(y)) => (x, y),
-                    _ => {
-                        return Err(ExprError::Eval(format!(
-                            "arithmetic needs numbers, got {va} and {vb}"
-                        )))
-                    }
-                };
-                let r = match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => {
-                        if y == 0.0 {
-                            return Err(ExprError::Eval("division by zero".into()));
-                        }
-                        x / y
-                    }
-                    _ => unreachable!(),
-                };
-                Ok(Value::Num(r))
+            let vb = truth(&*b.eval_in(scope)?)?;
+            Ok(match (va, vb) {
+                (_, Some(true)) => Value::Bool(true),
+                (Some(false), Some(false)) => Value::Bool(false),
+                _ => Value::Null,
+            })
+        }
+        Eq | Ne => {
+            let va = a.eval_in(scope)?;
+            let vb = b.eval_in(scope)?;
+            match va.value_eq(&vb) {
+                None => Ok(Value::Null),
+                Some(eq) => Ok(Value::Bool(if op == Eq { eq } else { !eq })),
             }
         }
-    }
-
-    /// Convenience: evaluates as an acceptance decision (`Bool(true)` only).
-    pub fn accepts(&self, env: &Env) -> Result<bool> {
-        Ok(self.eval(env)?.as_accepted())
+        Lt | Le | Gt | Ge => {
+            let va = a.eval_in(scope)?;
+            let vb = b.eval_in(scope)?;
+            if va.is_null() || vb.is_null() {
+                return Ok(Value::Null);
+            }
+            let ord = va
+                .value_cmp(&vb)
+                .ok_or_else(|| ExprError::Eval(format!("cannot order {va} and {vb}")))?;
+            use std::cmp::Ordering::*;
+            Ok(Value::Bool(match op {
+                Lt => ord == Less,
+                Le => ord != Greater,
+                Gt => ord == Greater,
+                Ge => ord != Less,
+                _ => unreachable!(),
+            }))
+        }
+        Add | Sub | Mul | Div => {
+            let va = a.eval_in(scope)?;
+            let vb = b.eval_in(scope)?;
+            if va.is_null() || vb.is_null() {
+                return Ok(Value::Null);
+            }
+            let (x, y) = match (va.as_num(), vb.as_num()) {
+                (Some(x), Some(y)) => (x, y),
+                _ => {
+                    return Err(ExprError::Eval(format!(
+                        "arithmetic needs numbers, got {va} and {vb}"
+                    )))
+                }
+            };
+            let r = match op {
+                Add => x + y,
+                Sub => x - y,
+                Mul => x * y,
+                Div => {
+                    if y == 0.0 {
+                        return Err(ExprError::Eval("division by zero".into()));
+                    }
+                    x / y
+                }
+                _ => unreachable!(),
+            };
+            Ok(Value::Num(r))
+        }
     }
 }
 
 /// Converts a value to Kleene truth: `Some(bool)` or `None` for Null.
-fn truth(v: Value) -> Result<Option<bool>> {
+fn truth(v: &Value) -> Result<Option<bool>> {
     match v {
-        Value::Bool(b) => Ok(Some(b)),
+        Value::Bool(b) => Ok(Some(*b)),
         Value::Null => Ok(None),
         other => Err(ExprError::Eval(format!("expected a boolean, got {other}"))),
     }

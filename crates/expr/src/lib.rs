@@ -44,7 +44,7 @@ mod typecheck;
 mod value;
 
 pub use ast::{BinaryOp, Expr, UnaryOp};
-pub use eval::Env;
+pub use eval::{Env, Scope};
 pub use parser::parse;
 pub use typecheck::{check, ExprType, TypeEnv};
 pub use value::Value;

@@ -469,13 +469,38 @@ impl Storage for DiskBackend {
             self.dict.intern(&t.predicate)?,
             self.dict.intern(&t.object)?,
         );
-        if self.contains_key(key)? {
-            return Ok(false);
+        Ok(self.insert_ids(&[key])? == 1)
+    }
+
+    fn intern(&mut self, term: &Term) -> Result<u32> {
+        self.dict.intern(term)
+    }
+
+    /// Journals every new key with one write, then applies them.
+    fn insert_ids(&mut self, keys: &[Key]) -> Result<usize> {
+        let issued = self.dict.len();
+        let mut fresh: Vec<Key> = Vec::with_capacity(keys.len());
+        for &key in keys {
+            if [key.0, key.1, key.2].iter().any(|&id| id as usize >= issued) {
+                return Err(RdfError::IllFormed(format!(
+                    "triple key {key:?} names an unissued id"
+                )));
+            }
+            if !self.contains_key(key)? {
+                fresh.push(key);
+            }
         }
-        self.wal.append(OP_ADD, key)?;
-        self.apply_add(key)?;
-        self.live += 1;
-        Ok(true)
+        fresh.sort_unstable();
+        fresh.dedup();
+        if fresh.is_empty() {
+            return Ok(0);
+        }
+        self.wal.append(OP_ADD, &fresh)?;
+        for &key in &fresh {
+            self.apply_add(key)?;
+        }
+        self.live += fresh.len();
+        Ok(fresh.len())
     }
 
     fn remove(&mut self, t: &Triple) -> bool {
@@ -490,7 +515,7 @@ impl Storage for DiskBackend {
         if !self.contains_key(key).unwrap_or(false) {
             return false;
         }
-        if self.wal.append(OP_DEL, key).is_err() || self.apply_del(key).is_err() {
+        if self.wal.append(OP_DEL, &[key]).is_err() || self.apply_del(key).is_err() {
             return false;
         }
         self.live -= 1;
@@ -574,7 +599,7 @@ impl Storage for DiskBackend {
         if self.live == 0 && !self.base_cleared {
             return;
         }
-        if self.wal.append(OP_CLEAR, (0, 0, 0)).is_ok() {
+        if self.wal.append(OP_CLEAR, &[(0, 0, 0)]).is_ok() {
             self.base_cleared = true;
             self.adds.clear();
             self.dels.clear();

@@ -104,6 +104,19 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
     /// Removes a triple; `true` when it was present.
     fn remove(&mut self, t: &Triple) -> bool;
 
+    /// Interns a term without storing a triple and returns its id — the
+    /// write side of the id space. Ids follow the module's stability
+    /// invariant; on a durable backend a new term is durable after the
+    /// next [`Self::flush`].
+    fn intern(&mut self, term: &Term) -> Result<u32>;
+
+    /// Inserts triples given as interned `(subject, predicate, object)`
+    /// ids (from [`Self::intern`] or [`Self::id_of`]); returns how many
+    /// were new. The caller vouches that the keys form well-formed
+    /// triples: no term-space check runs here. A key naming an id this
+    /// store never issued is an error, and then nothing is inserted.
+    fn insert_ids(&mut self, keys: &[(u32, u32, u32)]) -> Result<usize>;
+
     /// Membership test.
     fn contains(&self, t: &Triple) -> bool;
 
@@ -239,6 +252,14 @@ impl Storage for GraphStore {
 
     fn remove(&mut self, t: &Triple) -> bool {
         GraphStore::remove(self, t)
+    }
+
+    fn intern(&mut self, term: &Term) -> Result<u32> {
+        Ok(GraphStore::intern(self, term))
+    }
+
+    fn insert_ids(&mut self, keys: &[(u32, u32, u32)]) -> Result<usize> {
+        GraphStore::insert_ids(self, keys)
     }
 
     fn contains(&self, t: &Triple) -> bool {
@@ -420,6 +441,10 @@ mod tests {
         assert!(!d.remove(&tr(1, 2, 3)));
         assert!(d.is_empty());
         assert!(d.insert(tr(9, 9, 9)).unwrap());
+        let nine = d.id_of(&iri(9)).unwrap();
+        assert_eq!(d.insert_ids(&[(nine, nine, nine)]).unwrap(), 0, "already present");
+        assert!(d.insert_ids(&[(nine, nine, u32::MAX)]).is_err(), "unissued id");
+        assert_eq!(d.len(), 1);
         d.clear();
         assert!(d.is_empty());
         assert!(d.term_count() > 0, "dictionary survives clear");
@@ -490,9 +515,23 @@ mod tests {
         let unacked: Vec<Triple> = (0..5).map(|i| tr(i + 50, 200, i)).collect();
         {
             let mut d = DiskBackend::open(dir.path()).unwrap();
-            for t in &acked {
+            // half the acknowledged writes go through the term space, half
+            // through the id space as one journal batch
+            let (by_terms, by_ids) = acked.split_at(acked.len() / 2);
+            for t in by_terms {
                 d.insert(t.clone()).unwrap();
             }
+            let keys: Vec<(u32, u32, u32)> = by_ids
+                .iter()
+                .map(|t| {
+                    (
+                        d.intern(&t.subject).unwrap(),
+                        d.intern(&t.predicate).unwrap(),
+                        d.intern(&t.object).unwrap(),
+                    )
+                })
+                .collect();
+            assert_eq!(d.insert_ids(&keys).unwrap(), by_ids.len());
             d.flush().unwrap(); // ← the acknowledgement barrier
             for t in &unacked {
                 d.insert(t.clone()).unwrap();
@@ -640,23 +679,45 @@ mod prop_tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// MemoryBackend ≡ DiskBackend under any interleaving of inserts
-        /// and removes — including after a flush + reopen cycle.
+        /// MemoryBackend ≡ DiskBackend under any interleaving of term-space
+        /// inserts, id-space inserts and removes — including after a flush
+        /// + reopen cycle.
         #[test]
         fn backends_are_observationally_equivalent(
-            ops in proptest::collection::vec((any::<bool>(), arb_triple()), 0..60),
+            ops in proptest::collection::vec((0u8..3, arb_triple(), arb_triple()), 0..60),
         ) {
             let dir = TempDir::new("prop");
             let mut mem = GraphStore::new();
             let mut disk = DiskBackend::open(dir.path()).unwrap();
             disk.set_auto_compact_records(25); // exercise mid-stream compaction
-            for (i, (is_insert, t)) in ops.into_iter().enumerate() {
-                if is_insert {
-                    let a = Storage::insert(&mut mem, t.clone()).unwrap();
-                    let b = disk.insert(t).unwrap();
-                    prop_assert_eq!(a, b);
-                } else {
-                    prop_assert_eq!(Storage::remove(&mut mem, &t), disk.remove(&t));
+            for (i, (op, t, u)) in ops.into_iter().enumerate() {
+                match op {
+                    0 => {
+                        let a = Storage::insert(&mut mem, t.clone()).unwrap();
+                        let b = disk.insert(t).unwrap();
+                        prop_assert_eq!(a, b);
+                    }
+                    1 => prop_assert_eq!(Storage::remove(&mut mem, &t), disk.remove(&t)),
+                    _ => {
+                        // a two-key batch, interned in the same order on both
+                        let keys = |s: &mut dyn Storage| -> Vec<(u32, u32, u32)> {
+                            [&t, &u]
+                                .iter()
+                                .map(|x| {
+                                    (
+                                        s.intern(&x.subject).unwrap(),
+                                        s.intern(&x.predicate).unwrap(),
+                                        s.intern(&x.object).unwrap(),
+                                    )
+                                })
+                                .collect()
+                        };
+                        let (km, kd) = (keys(&mut mem), keys(&mut disk));
+                        prop_assert_eq!(&km, &kd, "intern order must agree");
+                        let a = Storage::insert_ids(&mut mem, &km).unwrap();
+                        let b = disk.insert_ids(&kd).unwrap();
+                        prop_assert_eq!(a, b);
+                    }
                 }
                 if i % 13 == 0 {
                     disk.flush().unwrap();

@@ -89,15 +89,19 @@ impl Wal {
         Ok(Wal { file, path: path.to_path_buf(), dirty: false, records, pending: 0 })
     }
 
-    /// Appends one record (not yet durable — see [`Self::flush`]).
-    pub fn append(&mut self, op: u8, key: Key) -> Result<()> {
+    /// Appends one record per key with a single write (not yet durable —
+    /// see [`Self::flush`]).
+    pub fn append(&mut self, op: u8, keys: &[Key]) -> Result<()> {
         let started = Instant::now();
-        let buf = encode_record(op, key);
+        let mut buf = Vec::with_capacity(keys.len() * RECORD_LEN);
+        for &key in keys {
+            buf.extend_from_slice(&encode_record(op, key));
+        }
         self.file.write_all(&buf).map_err(|e| io_err("appending to journal", &self.path, e))?;
         append_latency().record(started.elapsed().as_nanos() as u64);
         self.dirty = true;
-        self.records += 1;
-        self.pending += 1;
+        self.records += keys.len();
+        self.pending += keys.len();
         Ok(())
     }
 

@@ -94,15 +94,8 @@ impl GraphStore {
     /// with a panic, since they can only arise from programmer error.
     pub fn insert(&mut self, t: Triple) -> bool {
         assert!(t.is_well_formed(), "ill-formed triple: {t}");
-        let s = self.dict.intern(&t.subject);
-        let p = self.dict.intern(&t.predicate);
-        let o = self.dict.intern(&t.object);
-        let added = self.spo.insert((s, p, o));
-        if added {
-            self.pos.insert((p, o, s));
-            self.osp.insert((o, s, p));
-        }
-        added
+        let key = (self.intern(&t.subject), self.intern(&t.predicate), self.intern(&t.object));
+        self.insert_key(key)
     }
 
     /// Fallible insert for load paths fed by external data: an ill-formed
@@ -111,15 +104,38 @@ impl GraphStore {
         if !t.is_well_formed() {
             return Err(RdfError::IllFormed(t.to_string()));
         }
-        let s = self.dict.intern(&t.subject);
-        let p = self.dict.intern(&t.predicate);
-        let o = self.dict.intern(&t.object);
+        let key = (self.intern(&t.subject), self.intern(&t.predicate), self.intern(&t.object));
+        Ok(self.insert_key(key))
+    }
+
+    /// Interns a term without storing a triple and returns its id, stable
+    /// for the store's lifetime like every id — the write side of the id
+    /// space that [`Self::insert_ids`] consumes.
+    pub(crate) fn intern(&mut self, term: &Term) -> u32 {
+        self.dict.intern(term)
+    }
+
+    /// Inserts triples given as interned `(subject, predicate, object)`
+    /// ids; returns how many were new. The caller vouches that the keys
+    /// form well-formed triples; an id this store never issued is an
+    /// [`RdfError::IllFormed`] error, and nothing is inserted.
+    pub(crate) fn insert_ids(&mut self, keys: &[(u32, u32, u32)]) -> Result<usize> {
+        let issued = self.dict.by_id.len();
+        if let Some(key) =
+            keys.iter().find(|(s, p, o)| [*s, *p, *o].iter().any(|&id| id as usize >= issued))
+        {
+            return Err(RdfError::IllFormed(format!("triple key {key:?} names an unissued id")));
+        }
+        Ok(keys.iter().filter(|&&key| self.insert_key(key)).count())
+    }
+
+    fn insert_key(&mut self, (s, p, o): Key) -> bool {
         let added = self.spo.insert((s, p, o));
         if added {
             self.pos.insert((p, o, s));
             self.osp.insert((o, s, p));
         }
-        Ok(added)
+        added
     }
 
     /// Removes a triple; returns `true` if it was present.
@@ -465,6 +481,25 @@ mod tests {
         let mut expected = g.objects(&iri(2), &p);
         expected.sort_by_key(|t| g.id_of(t).unwrap());
         assert_eq!(objs, expected);
+    }
+
+    #[test]
+    fn id_space_inserts_match_term_space_inserts() {
+        let mut by_terms = GraphStore::new();
+        let mut by_ids = GraphStore::new();
+        for (s, p, o) in [(1, 2, 3), (1, 2, 4), (1, 2, 3)] {
+            by_terms.insert(tr(s, p, o));
+            let key = (by_ids.intern(&iri(s)), by_ids.intern(&iri(p)), by_ids.intern(&iri(o)));
+            by_ids.insert_ids(&[key, key]).unwrap();
+        }
+        assert_eq!(by_ids.iter().collect::<Vec<_>>(), by_terms.iter().collect::<Vec<_>>());
+        assert_eq!(
+            by_ids.edge_ids(1).collect::<Vec<_>>(),
+            by_terms.edge_ids(1).collect::<Vec<_>>()
+        );
+        let before = by_ids.len();
+        assert!(by_ids.insert_ids(&[(0, 1, 2), (0, 1, 99)]).is_err(), "unissued id");
+        assert_eq!(by_ids.len(), before, "a rejected batch inserts nothing");
     }
 
     #[test]

@@ -54,18 +54,21 @@ impl AnnotationService for FieldCaptureAnnotator {
         self.captures.iter().map(|(_, e)| e.clone()).collect()
     }
 
+    /// One [`AnnotationRepository::annotate_bulk`] call for the whole data
+    /// set: per item, its non-null captured fields in capture order.
     fn annotate(&self, data: &DataSet, repository: &AnnotationRepository) -> Result<usize> {
-        let mut written = 0;
+        let mut writes = Vec::with_capacity(data.len() * self.captures.len());
         for item in data.items() {
+            let fields: Vec<(&str, &EvidenceValue)> = data.fields(item).collect();
             for (field, evidence_type) in &self.captures {
-                let value = data.field(item, field);
-                if !value.is_null() {
-                    repository.annotate(item, evidence_type, value)?;
-                    written += 1;
+                if let Some((_, value)) = fields.iter().find(|(name, _)| name == field) {
+                    if !value.is_null() {
+                        writes.push((item, evidence_type, (*value).clone()));
+                    }
                 }
             }
         }
-        Ok(written)
+        Ok(repository.annotate_bulk(writes)?)
     }
 }
 
