@@ -83,22 +83,6 @@ fn intern_once(store: &mut dyn Storage, slot: &mut Option<u32>, term: &Term) -> 
     }
 }
 
-/// How a repository answers `(data item, evidence type)` lookups — §5 uses
-/// SPARQL; the other modes are the E3 ablation ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LookupMode {
-    /// Generate, parse and evaluate a SPARQL SELECT per lookup
-    /// (paper-faithful baseline; pays a parse per `(item, type)` pair).
-    #[default]
-    Sparql,
-    /// Evaluate a shared pre-parsed SELECT with `(item, type)` bound as
-    /// parameters — same query shape as [`LookupMode::Sparql`], no parsing,
-    /// immune to IRI injection by construction.
-    Prepared,
-    /// Walk the triple indexes directly.
-    Direct,
-}
-
 /// The canonical §5 lookup, parsed once per process: bind `?item` and
 /// `?etype` to get the evidence values of one `(data item, evidence type)`
 /// pair.
@@ -127,7 +111,6 @@ pub struct AnnotationRepository {
     persistent: bool,
     iq: Arc<IqModel>,
     store: RwLock<Box<dyn Storage>>,
-    lookup_mode: LookupMode,
     blank_counter: AtomicU64,
 }
 
@@ -141,7 +124,6 @@ impl AnnotationRepository {
             persistent,
             iq,
             store: RwLock::new(Box::new(MemoryBackend::new())),
-            lookup_mode: LookupMode::default(),
             blank_counter: AtomicU64::new(0),
         }
     }
@@ -176,7 +158,6 @@ impl AnnotationRepository {
             persistent,
             iq,
             store: RwLock::new(Box::new(store)),
-            lookup_mode: LookupMode::default(),
             blank_counter: AtomicU64::new(next),
         })
     }
@@ -213,12 +194,6 @@ impl AnnotationRepository {
     /// `GET /store` surface.
     pub fn storage_status(&self) -> qurator_rdf::storage::StorageStatus {
         self.store.read().status()
-    }
-
-    /// Switches the lookup implementation (E3 ablation).
-    pub fn with_lookup_mode(mut self, mode: LookupMode) -> Self {
-        self.lookup_mode = mode;
-        self
     }
 
     /// The repository name.
@@ -390,14 +365,13 @@ impl AnnotationRepository {
         Ok(())
     }
 
-    /// The `(item, evidence type)` lookup of §5.
+    /// The `(item, evidence type)` lookup of §5: one SPARQL query per
+    /// pair ([`Self::lookup_sparql`]). [`Self::lookup_prepared`] and
+    /// [`Self::lookup_direct`] answer the same pair without the per-call
+    /// parse; [`Self::enrich_bulk`] answers a whole batch at once.
     pub fn lookup(&self, item: &Term, evidence_type: &Iri) -> Result<EvidenceValue> {
         let started = Instant::now();
-        let result = match self.lookup_mode {
-            LookupMode::Sparql => self.lookup_sparql(item, evidence_type),
-            LookupMode::Prepared => self.lookup_prepared(item, evidence_type),
-            LookupMode::Direct => Ok(self.lookup_direct(item, evidence_type)),
-        };
+        let result = self.lookup_sparql(item, evidence_type);
         lookup_count().inc();
         lookup_latency().record(started.elapsed().as_nanos() as u64);
         result
@@ -410,7 +384,7 @@ impl AnnotationRepository {
     /// interpolated IRI cannot escape its `<…>` brackets. But IRIs whose
     /// first character makes `<` lex as a comparison operator (digits, `-`,
     /// `?`, `=`) would silently corrupt the rendered query; those are
-    /// refused with an explicit error. [`LookupMode::Prepared`] handles
+    /// refused with an explicit error. [`Self::lookup_prepared`] handles
     /// every valid IRI because it never renders IRIs into query text.
     pub fn lookup_sparql(&self, item: &Term, evidence_type: &Iri) -> Result<EvidenceValue> {
         let Term::Iri(item_iri) = item else {
@@ -423,7 +397,7 @@ impl AnnotationRepository {
             ) {
                 return Err(AnnotationError::Rdf(format!(
                     "refusing to interpolate <{iri}> into SPARQL text: it would \
-                     mis-lex as an operator; use LookupMode::Prepared"
+                     mis-lex as an operator; use the prepared lookup"
                 )));
             }
         }
@@ -491,10 +465,10 @@ impl AnnotationRepository {
     /// The Data-Enrichment primitive: fetches the given evidence types for
     /// every item, producing an annotation map (nulls where absent).
     ///
-    /// Issues one [`Self::lookup`] per `(item, type)` pair in the current
-    /// [`LookupMode`] — the E3 ablation baseline. Production callers should
-    /// prefer [`Self::enrich_bulk`], which answers the whole batch from a
-    /// single index scan.
+    /// Issues one [`Self::lookup`] per `(item, type)` pair — the E3
+    /// ablation baseline. Production callers should prefer
+    /// [`Self::enrich_bulk`], which answers the whole batch from a single
+    /// index scan.
     pub fn enrich(&self, items: &[Term], evidence_types: &[Iri]) -> Result<AnnotationMap> {
         let mut map = AnnotationMap::for_items(items.iter().cloned());
         for item in items {
@@ -516,7 +490,7 @@ impl AnnotationRepository {
     /// the deciding evidence node is the first (in index order) that has the
     /// type and a `q:value` — the same node every per-pair mode finds —
     /// and null values are left unrecorded. (Non-IRI items are resolved
-    /// like [`LookupMode::Direct`]; the SPARQL modes read them as null.)
+    /// like [`Self::lookup_direct`]; the SPARQL lookups read them as null.)
     pub fn enrich_bulk(&self, items: &[Term], evidence_types: &[Iri]) -> Result<AnnotationMap> {
         let started = Instant::now();
         bulk_calls().inc();
@@ -899,10 +873,6 @@ mod tests {
         let blank = Term::blank("b0");
         assert_eq!(r.lookup_prepared(&blank, &q::iri("HitRatio")).unwrap(), EvidenceValue::Null);
         assert_eq!(r.lookup_sparql(&blank, &q::iri("HitRatio")).unwrap(), EvidenceValue::Null);
-        // The mode switch routes lookups through the prepared query.
-        let r = repo().with_lookup_mode(LookupMode::Prepared);
-        r.annotate(&item(2), &q::iri("HitRatio"), 0.5.into()).unwrap();
-        assert_eq!(r.lookup(&item(2), &q::iri("HitRatio")).unwrap(), EvidenceValue::Number(0.5));
     }
 
     #[test]
@@ -1033,6 +1003,25 @@ mod prop_tests {
 
     const TYPES: [&str; 3] = ["HitRatio", "MassCoverage", "PeptidesCount"];
 
+    /// [`AnnotationRepository::enrich`]'s per-pair composition over any
+    /// one lookup function.
+    fn per_pair(
+        items: &[Term],
+        types: &[Iri],
+        lookup: impl Fn(&Term, &Iri) -> EvidenceValue,
+    ) -> AnnotationMap {
+        let mut map = AnnotationMap::for_items(items.iter().cloned());
+        for item in items {
+            for evidence_type in types {
+                let value = lookup(item, evidence_type);
+                if !value.is_null() {
+                    map.set_evidence(item, evidence_type.clone(), value);
+                }
+            }
+        }
+        map
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         /// All four lookup paths produce the identical annotation map for
@@ -1047,18 +1036,15 @@ mod prop_tests {
             for (i, t, v) in &writes {
                 sparql_repo.annotate(&item(*i), &q::iri(TYPES[*t]), (*v).into()).unwrap();
             }
-            let turtle = sparql_repo.export_turtle();
-            let mk = |mode: LookupMode| {
-                let r = AnnotationRepository::new("b", false, iq.clone()).with_lookup_mode(mode);
-                r.import_turtle(&turtle).unwrap();
-                r
-            };
+            let reimported = AnnotationRepository::new("b", false, iq.clone());
+            reimported.import_turtle(&sparql_repo.export_turtle()).unwrap();
             let items: Vec<Term> = queried.iter().map(|i| item(*i)).collect();
             let types: Vec<Iri> = TYPES.iter().map(|t| q::iri(t)).collect();
 
             let via_sparql = sparql_repo.enrich(&items, &types).unwrap();
-            let via_prepared = mk(LookupMode::Prepared).enrich(&items, &types).unwrap();
-            let via_direct = mk(LookupMode::Direct).enrich(&items, &types).unwrap();
+            let via_prepared =
+                per_pair(&items, &types, |i, t| reimported.lookup_prepared(i, t).unwrap());
+            let via_direct = per_pair(&items, &types, |i, t| reimported.lookup_direct(i, t));
             let via_bulk = sparql_repo.enrich_bulk(&items, &types).unwrap();
 
             prop_assert_eq!(&via_prepared, &via_sparql);

@@ -5,14 +5,17 @@
 use bench::{bench_engine, bench_view, synthetic_hits};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qurator::compile::DATASET_INPUT;
-use qurator_workflow::{Context, Enactor};
+use qurator_plan::PlanConfig;
+use qurator_telemetry::RunId;
+use qurator_workflow::{Context, Data, Enactor};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
 fn bench_interpret_vs_compiled(c: &mut Criterion) {
     let mut group = c.benchmark_group("execution_path");
     group.sample_size(20);
-    for &items in &[50usize, 200] {
+    // 10^4 items re-measures the compiled/interpreted time ratio at scale
+    for &items in &[50usize, 200, 10_000] {
         let dataset = synthetic_hits(items);
         group.throughput(Throughput::Elements(items as u64));
 
@@ -29,7 +32,14 @@ fn bench_interpret_vs_compiled(c: &mut Criterion) {
         let engine = bench_engine();
         group.bench_with_input(BenchmarkId::new("compiled", items), &items, |b, _| {
             b.iter(|| {
-                let (out, _) = engine.execute_compiled(black_box(&spec), &dataset).expect("runs");
+                let (out, _) = engine
+                    .execute_compiled(
+                        black_box(&spec),
+                        &dataset,
+                        &PlanConfig::default(),
+                        RunId::mint(),
+                    )
+                    .expect("runs");
                 engine.finish_execution();
                 black_box(out)
             })
@@ -45,8 +55,7 @@ fn bench_parallel_vs_sequential(c: &mut Criterion) {
     let spec = bench_view();
     let dataset = synthetic_hits(200);
     let workflow = engine.compile(&spec).expect("compiles");
-    let inputs =
-        BTreeMap::from([(DATASET_INPUT.to_string(), qurator::convert::dataset_to_data(&dataset))]);
+    let inputs = BTreeMap::from([(DATASET_INPUT.to_string(), Data::typed(dataset))]);
     group.bench_function("wave_parallel", |b| {
         b.iter(|| {
             let r = Enactor::new().run(&workflow, &inputs, &Context::new()).expect("runs");

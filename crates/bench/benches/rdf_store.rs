@@ -7,7 +7,7 @@
 //! direct index walk, plus a full-store SPARQL scan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use qurator_annotations::AnnotationRepository;
+use qurator_annotations::{AnnotationMap, AnnotationRepository};
 use qurator_ontology::IqModel;
 use qurator_rdf::namespace::q;
 use qurator_rdf::term::Term;
@@ -61,10 +61,21 @@ fn bench_bulk_enrich(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sparql", items), &items, |b, _| {
             b.iter(|| black_box(sparql.enrich(&all, &types).expect("enrich")))
         });
-        let direct = populated_repo(items)
-            .with_lookup_mode(qurator_annotations::repository::LookupMode::Direct);
+        // the same per-pair composition as `enrich`, over the index walk
+        let direct = populated_repo(items);
         group.bench_with_input(BenchmarkId::new("direct", items), &items, |b, _| {
-            b.iter(|| black_box(direct.enrich(&all, &types).expect("enrich")))
+            b.iter(|| {
+                let mut map = AnnotationMap::for_items(all.iter().cloned());
+                for it in &all {
+                    for evidence_type in &types {
+                        let value = direct.lookup_direct(it, evidence_type);
+                        if !value.is_null() {
+                            map.set_evidence(it, evidence_type.clone(), value);
+                        }
+                    }
+                }
+                black_box(map)
+            })
         });
     }
     group.finish();

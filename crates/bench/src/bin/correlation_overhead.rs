@@ -34,6 +34,7 @@
 
 use bench::results::{measure_ms, quantile, BenchResult};
 use qurator::prelude::*;
+use qurator_plan::PlanConfig;
 use qurator_proteomics::{World, WorldConfig};
 use qurator_repro::ispider::{figure7_view, hits_to_dataset};
 use qurator_telemetry::{AccessLog, AccessRecord, RunId, TelemetryConfig};
@@ -117,7 +118,9 @@ fn main() {
             for dataset in &datasets {
                 let run = RunId::mint();
                 std::hint::black_box(
-                    corr_engine.execute_view_run(&view, dataset, run).expect("correlated run"),
+                    corr_engine
+                        .execute_interpreted(&view, dataset, &PlanConfig::default(), run)
+                        .expect("correlated run"),
                 );
                 access_log.record(AccessRecord {
                     seq: 0,

@@ -24,6 +24,7 @@ use qurator::prelude::*;
 use qurator_plan::PlanConfig;
 use qurator_proteomics::{World, WorldConfig};
 use qurator_repro::ispider::{figure7_view, hits_to_dataset, FIGURE7_GROUP};
+use qurator_telemetry::RunId;
 
 const ITERS: usize = 7;
 
@@ -46,7 +47,9 @@ fn main() {
         datasets
             .iter()
             .map(|dataset| {
-                let outcome = engine.execute_view_with(&spec, dataset, config).expect("view runs");
+                let outcome = engine
+                    .execute_interpreted(&spec, dataset, config, RunId::mint())
+                    .expect("view runs");
                 engine.finish_execution();
                 outcome.group(FIGURE7_GROUP).map_or(0, |g| g.dataset.items().len())
             })

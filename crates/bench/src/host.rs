@@ -2,7 +2,7 @@
 //! over the synthetic testbed: PEDRo fetch → Imprint PMF → GOA lookup →
 //! term aggregation.
 
-use qurator::convert;
+use qurator::prelude::DataSet;
 use qurator_proteomics::World;
 use qurator_repro::ispider::hits_to_dataset;
 use qurator_workflow::{Data, FnProcessor, PortRef, Processor, Workflow, WorkflowError};
@@ -32,7 +32,7 @@ pub fn build_host(world: Arc<World>) -> Workflow {
     });
 
     // Imprint: per spot (implicit iteration), search and emit the hit
-    // data set in the framework's encoding
+    // data set as a typed payload
     let imprint_world = world.clone();
     let imprint = FnProcessor::map1(nodes::IMPRINT, "spot", "hits", move |spot, _| {
         let spot_id = spot.as_text().ok_or_else(|| WorkflowError::Execution {
@@ -47,15 +47,15 @@ pub fn build_host(world: Arc<World>) -> Workflow {
                 }
             })?;
         let hits = imprint_world.imprint.search(peak_list);
-        Ok(convert::dataset_to_data(&hits_to_dataset(spot_id, &hits)))
+        Ok(Data::typed(hits_to_dataset(spot_id, &hits)))
     });
 
     // GOA: per spot data set, emit the GO term ids of every identification
     let goa_world = world.clone();
     let goa = FnProcessor::map1(nodes::GOA, "hits", "terms", move |hits, _| {
-        let dataset = convert::data_to_dataset(hits).map_err(|e| WorkflowError::Execution {
+        let dataset: &DataSet = hits.as_typed().ok_or_else(|| WorkflowError::Execution {
             processor: nodes::GOA.into(),
-            message: e.to_string(),
+            message: format!("expected a data set, got {hits}"),
         })?;
         let mut terms = Vec::new();
         for item in dataset.items() {
@@ -100,14 +100,14 @@ pub fn build_host(world: Arc<World>) -> Workflow {
     wf
 }
 
-/// The identity input adapter (hit data sets already use the framework
-/// encoding) for embedding a QV between Imprint and GOA.
+/// The identity input adapter (Imprint already emits typed hit data sets)
+/// for embedding a QV between Imprint and GOA.
 pub fn input_adapter() -> Arc<dyn Processor> {
     Arc::new(FnProcessor::map1("qv-dataset-in", "in", "out", |v, _| Ok(v.clone())))
 }
 
 /// The output adapter: unwraps the action group's `{dataset, map}` record
-/// back to a bare data-set encoding for the GOA node.
+/// back to its data set for the GOA node.
 pub fn output_adapter() -> Arc<dyn Processor> {
     Arc::new(FnProcessor::map1("qv-dataset-out", "in", "out", |v, _| {
         v.field("dataset").cloned().ok_or_else(|| WorkflowError::Execution {

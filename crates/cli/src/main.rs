@@ -321,7 +321,9 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .transpose()
         .map_err(|e| e.to_string())?;
     let run = qurator_telemetry::RunId::mint();
-    let outcome = engine.execute_view_run(&spec, &dataset, run).map_err(|e| e.to_string())?;
+    let outcome = engine
+        .execute_interpreted(&spec, &dataset, &qurator_plan::PlanConfig::default(), run)
+        .map_err(|e| e.to_string())?;
 
     // `--analyze --format json` is the machine surface: stdout carries
     // the analyze document alone, so it can be piped straight into
@@ -458,7 +460,9 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let run = qurator_telemetry::RunId::mint();
     let mut profile = qurator_telemetry::Profile::new();
     for _ in 0..runs {
-        engine.execute_view_run(&spec, &dataset, run).map_err(|e| e.to_string())?;
+        engine
+            .execute_interpreted(&spec, &dataset, &qurator_plan::PlanConfig::default(), run)
+            .map_err(|e| e.to_string())?;
         let trace = engine.last_trace().ok_or("no span trace was recorded")?;
         profile.add_trace(&trace);
     }

@@ -534,7 +534,12 @@ fn run_view(state: &ServeState, view: &str, body: &str) -> Response {
         Err(e) => return Response::error(400, &e),
     };
     let run = RunId::mint();
-    let outcome = match state.engine.execute_view_run(spec, &dataset, run) {
+    let outcome = match state.engine.execute_interpreted(
+        spec,
+        &dataset,
+        &qurator_plan::PlanConfig::default(),
+        run,
+    ) {
         Ok(o) => o,
         Err(e) => {
             let mut response = Response::error(400, &e.to_string());

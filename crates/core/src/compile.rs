@@ -52,36 +52,8 @@ pub fn compile(
     registry: &ServiceRegistry,
     catalog: &RepositoryCatalog,
 ) -> Result<Workflow> {
-    compile_with(view, iq, registry, catalog, &PlanConfig::default())
-}
-
-/// Compiles through an explicit plan configuration (`optimize: false` for
-/// the `--no-opt` baseline).
-pub fn compile_with(
-    view: &ValidatedView,
-    iq: &Arc<IqModel>,
-    registry: &ServiceRegistry,
-    catalog: &RepositoryCatalog,
-    config: &PlanConfig,
-) -> Result<Workflow> {
-    compile_collecting(view, iq, registry, catalog, config).map(|(workflow, _)| workflow)
-}
-
-/// Like [`compile_with`], but also hands back the bound plan's
-/// observed-statistics collector, which the workflow's operators record
-/// into as the enactor runs them. The engine drains it after each run so
-/// EXPLAIN ANALYZE covers the compiled path too.
-pub fn compile_collecting(
-    view: &ValidatedView,
-    iq: &Arc<IqModel>,
-    registry: &ServiceRegistry,
-    catalog: &RepositoryCatalog,
-    config: &PlanConfig,
-) -> Result<(Workflow, Arc<qurator_telemetry::stats::StatsCollector>)> {
-    let plan = planner::physical_plan(view, iq, config)?;
-    let bound = exec::bind(&plan, iq, registry, catalog)?;
-    let stats = bound.stats.clone();
-    Ok((bound.into_workflow(&plan)?, stats))
+    let plan = planner::physical_plan(view, iq, &PlanConfig::default())?;
+    exec::bind(&plan, iq, registry, catalog)?.into_workflow(&plan)
 }
 
 #[cfg(test)]

@@ -21,13 +21,13 @@ pub struct DeploymentPlan {
     pub prefix: String,
     /// The host edge to sever and interpose on.
     pub severed: (PortRef, PortRef),
-    /// Adapter converting the host producer's output into the data-set
-    /// encoding (ports: `in` → `out`).
+    /// Adapter converting the host producer's output into a typed
+    /// [`qurator_services::DataSet`] (ports: `in` → `out`).
     pub input_adapter: (String, Arc<dyn Processor>),
     /// Which action output group feeds the host consumer.
     pub output_group: String,
-    /// Adapter converting the surviving group record back into the host
-    /// consumer's format (ports: `in` → `out`).
+    /// Adapter converting the surviving group's `{dataset, map}` record
+    /// back into the host consumer's format (ports: `in` → `out`).
     pub output_adapter: (String, Arc<dyn Processor>),
 }
 
@@ -103,7 +103,6 @@ impl DeploymentPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convert;
     use crate::engine::QualityEngine;
     use crate::spec::{ActionKind, QualityViewSpec};
     use qurator_annotations::EvidenceValue;
@@ -137,10 +136,10 @@ mod tests {
                     ],
                 );
             }
-            Ok(BTreeMap::from([("hits".to_string(), convert::dataset_to_data(&ds))]))
+            Ok(BTreeMap::from([("hits".to_string(), Data::typed(ds))]))
         });
         let consumer = FnProcessor::map1("consumer", "in", "count", |v, _| {
-            let n = v.field("items").and_then(Data::as_list).map(|l| l.len()).unwrap_or(0);
+            let n = v.as_typed::<DataSet>().map_or(0, DataSet::len);
             Ok(Data::Number(n as f64))
         });
         let mut host = Workflow::new("ispider");
@@ -150,9 +149,9 @@ mod tests {
         host.declare_output("surviving", PortRef::new("consumer", "count")).unwrap();
 
         // --- adapters ---
-        // producer already emits the dataset encoding: identity adapter in
+        // producer already emits a typed data set: identity adapter in
         let in_adapter = FnProcessor::map1("dataset-in", "in", "out", |v, _| Ok(v.clone()));
-        // group record -> bare dataset encoding for the consumer
+        // group record -> its data set for the consumer
         let out_adapter = FnProcessor::map1("dataset-out", "in", "out", |v, _| {
             v.field("dataset").cloned().ok_or_else(|| qurator_workflow::WorkflowError::Execution {
                 processor: "dataset-out".into(),

@@ -1,28 +1,31 @@
 //! The top-level quality engine: IQ model + service registry + repository
 //! catalog + binding registry, with two execution paths.
 //!
-//! * [`QualityEngine::execute_view`] — the direct interpreter: runs the
-//!   abstract quality process in-process (the "rapid prototyping" loop the
-//!   paper motivates — edit conditions, re-run, observe);
+//! * [`QualityEngine::execute_interpreted`] — the direct interpreter:
+//!   runs the abstract quality process in-process (the "rapid
+//!   prototyping" loop the paper motivates — edit conditions, re-run,
+//!   observe); [`QualityEngine::execute_view`] is its default-plan,
+//!   fresh-run-id shorthand;
 //! * [`QualityEngine::execute_compiled`] — the paper's §6 path: compile to
-//!   a workflow, enact it, decode the action outputs. Both paths produce
-//!   identical [`ActionOutcome`]s (covered by integration tests).
+//!   a workflow, enact it, read the action groups off its outputs.
 //!
-//! Both paths start from the same [`qurator_plan::PhysicalPlan`]: the
-//! interpreter walks the bound plan sequentially
-//! ([`QualityEngine::execute_physical`]); the compiled path wires the
-//! same bound operators into a workflow and enacts it wave-parallel.
+//! Both paths start from the same [`qurator_plan::PhysicalPlan`] (a
+//! [`qurator_plan::PlanConfig`] selects the optimized plan or the
+//! unoptimized baseline): the interpreter walks the bound plan
+//! sequentially; the compiled path wires the same bound operators into a
+//! workflow and enacts it wave-parallel. Both produce identical
+//! [`ActionOutcome`]s and record decision provenance through one
+//! recorder, so `why(item)` answers the same on either path.
 //! [`QualityEngine::plan_with`] exposes the plan itself (the `qv plan`
-//! EXPLAIN surface), and the `*_with` variants accept a
-//! [`qurator_plan::PlanConfig`] to select the unoptimized baseline.
+//! EXPLAIN surface).
 
 use crate::compile;
 use crate::operators::GroupResult;
-use crate::spec::{ActionDecl, ActionKind, QualityViewSpec};
+use crate::spec::QualityViewSpec;
 use crate::validate::{self, ValidatedView};
-use crate::{convert, exec, planner, QuratorError, Result};
+use crate::{exec, planner, QuratorError, Result};
 use parking_lot::RwLock;
-use qurator_annotations::RepositoryCatalog;
+use qurator_annotations::{AnnotationMap, RepositoryCatalog};
 use qurator_ontology::binding::BindingRegistry;
 use qurator_ontology::IqModel;
 use qurator_plan::{ActKind, LogicalPlan, PhysicalPlan, PlanConfig};
@@ -36,8 +39,9 @@ use qurator_telemetry::{
     ActionRecord, AssertionRecord, DecisionLedger, DecisionTrace, EvidenceRecord, LedgerEvent,
     LedgerValue, RunId, TelemetryConfig, TraceMeta, TraceRetainer,
 };
-use qurator_workflow::{Context, Data, EnactmentReport, Enactor, Workflow};
+use qurator_workflow::{Context, Data, EnactmentReport, Enactor, PortRef, Workflow};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -67,7 +71,7 @@ impl ActionOutcome {
 /// Correlation context for one finished execution: the [`RunId`] minted
 /// at the entry point (a served request, a CLI invocation) plus the
 /// outcome facts the retainer's tail-sampling policy keys on. Built
-/// internally by the `execute_*` family and handed to the observability
+/// internally by both executors and handed to the observability
 /// sink so the retained trace, the ledger slice and any drift crossing
 /// all reference the same id.
 #[derive(Debug, Clone)]
@@ -244,10 +248,8 @@ impl QualityEngine {
                 self.catalog
                     .store_root()
                     .and_then(|root| {
-                        StatsProfile::load(
-                            &root.join("stats").join(profile_file_name(&stats.view)),
-                        )
-                        .ok()
+                        StatsProfile::load(&root.join("stats").join(profile_file_name(&stats.view)))
+                            .ok()
                     })
                     .filter(|persisted| persisted.key == key)
                     .unwrap_or_else(|| StatsProfile::new(stats.view.clone(), key))
@@ -423,13 +425,8 @@ impl QualityEngine {
 
     /// Compiles a spec into an executable quality workflow.
     pub fn compile(&self, spec: &QualityViewSpec) -> Result<Workflow> {
-        self.compile_with(spec, &PlanConfig::default())
-    }
-
-    /// Compiles through an explicit plan configuration.
-    pub fn compile_with(&self, spec: &QualityViewSpec, config: &PlanConfig) -> Result<Workflow> {
         let view = self.validate(spec)?;
-        compile::compile_with(&view, &self.iq, &self.registry, &self.catalog, config)
+        compile::compile(&view, &self.iq, &self.registry, &self.catalog)
     }
 
     /// The logical plan of a view: one typed node per operator, before
@@ -547,37 +544,27 @@ impl QualityEngine {
     }
 
     /// Direct interpretation of the quality process (§4's semantics
-    /// without the workflow detour). Mints a fresh [`RunId`] for the
-    /// execution; hosts that already minted one at their entry point
-    /// (e.g. `qv serve` echoing `X-QV-Run-Id`) use
-    /// [`QualityEngine::execute_view_run`] instead.
+    /// without the workflow detour) over the optimized plan, under a
+    /// fresh [`RunId`].
     pub fn execute_view(&self, spec: &QualityViewSpec, dataset: &DataSet) -> Result<ActionOutcome> {
-        self.execute_view_with(spec, dataset, &PlanConfig::default())
+        self.execute_interpreted(spec, dataset, &PlanConfig::default(), RunId::mint())
     }
 
-    /// Direct interpretation under a caller-minted run id.
-    pub fn execute_view_run(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        run: RunId,
-    ) -> Result<ActionOutcome> {
-        self.execute_view_run_with(spec, dataset, &PlanConfig::default(), run)
-    }
-
-    /// Direct interpretation under an explicit plan configuration.
-    pub fn execute_view_with(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        config: &PlanConfig,
-    ) -> Result<ActionOutcome> {
-        self.execute_view_run_with(spec, dataset, config, RunId::mint())
-    }
-
-    /// Direct interpretation under an explicit plan configuration and a
-    /// caller-minted run id.
-    pub fn execute_view_run_with(
+    /// The sequential plan walker: validates and plans the view under
+    /// `config`, binds the plan to services and repositories, then runs
+    /// the nodes in process order. Each plan node leaves a `node:<name>`
+    /// span, so the interpreter's trace and the enactor's events name the
+    /// same units of work. The root `view:` span, the retained trace, the
+    /// ledger's decision traces and any drift crossing this run trips all
+    /// carry `run` (hosts that minted one at their entry point, such as
+    /// `qv serve` echoing `X-QV-Run-Id`, pass it here).
+    ///
+    /// Once planning succeeds the trace is always finished: on an error
+    /// the `view:` span is tagged with the error text, remaining open
+    /// spans are closed at the failure instant, and the trace still
+    /// reaches the retainer (error traces are always kept) and
+    /// `last_trace`.
+    pub fn execute_interpreted(
         &self,
         spec: &QualityViewSpec,
         dataset: &DataSet,
@@ -585,72 +572,11 @@ impl QualityEngine {
         run: RunId,
     ) -> Result<ActionOutcome> {
         let view = self.validate(spec)?;
-        self.execute_validated_run_with(&view, dataset, config, run)
-    }
-
-    /// Direct interpretation of an already-validated view.
-    pub fn execute_validated(
-        &self,
-        view: &ValidatedView,
-        dataset: &DataSet,
-    ) -> Result<ActionOutcome> {
-        self.execute_validated_with(view, dataset, &PlanConfig::default())
-    }
-
-    /// Direct interpretation of an already-validated view under an
-    /// explicit plan configuration.
-    pub fn execute_validated_with(
-        &self,
-        view: &ValidatedView,
-        dataset: &DataSet,
-        config: &PlanConfig,
-    ) -> Result<ActionOutcome> {
-        self.execute_validated_run_with(view, dataset, config, RunId::mint())
-    }
-
-    /// Direct interpretation of an already-validated view under an
-    /// explicit plan configuration and a caller-minted run id.
-    pub fn execute_validated_run_with(
-        &self,
-        view: &ValidatedView,
-        dataset: &DataSet,
-        config: &PlanConfig,
-        run: RunId,
-    ) -> Result<ActionOutcome> {
-        let plan = planner::physical_plan(view, &self.iq, config)?;
-        self.execute_physical_run(&plan, dataset, run)
-    }
-
-    /// The sequential plan walker: binds the physical plan to services
-    /// and repositories, then runs the nodes in process order. Each plan
-    /// node leaves a `node:<name>` span, so the interpreter's trace and
-    /// the enactor's events name the same units of work.
-    ///
-    /// The trace is always finished: on an error the `view:` span is
-    /// tagged with the error text, remaining open spans are closed at the
-    /// failure instant, and the trace still reaches the retainer (error
-    /// traces are always kept) and `last_trace`.
-    pub fn execute_physical(
-        &self,
-        plan: &PhysicalPlan,
-        dataset: &DataSet,
-    ) -> Result<ActionOutcome> {
-        self.execute_physical_run(plan, dataset, RunId::mint())
-    }
-
-    /// The sequential plan walker under a caller-minted run id: the root
-    /// `view:` span, the retained trace, the ledger's decision traces and
-    /// any drift crossing this run trips all carry `run`.
-    pub fn execute_physical_run(
-        &self,
-        plan: &PhysicalPlan,
-        dataset: &DataSet,
-        run: RunId,
-    ) -> Result<ActionOutcome> {
+        let plan = planner::physical_plan(&view, &self.iq, config)?;
         qurator_telemetry::metrics()
             .counter_with("engine.execute.count", &[("path", "interpreted")])
             .inc();
-        let bound = exec::bind(plan, &self.iq, &self.registry, &self.catalog)?;
+        let bound = exec::bind(&plan, &self.iq, &self.registry, &self.catalog)?;
         bound.stats.set_enabled(self.stats_enabled());
         let session = TraceSession::new();
         let mut rec = session.recorder();
@@ -660,9 +586,9 @@ impl QualityEngine {
         rec.attr(view_span, "items", dataset.len());
         rec.attr(view_span, "mode", if plan.optimized { "optimized" } else { "baseline" });
 
-        let result = self.run_physical(plan, &bound, dataset, &mut rec, view_span, run);
+        let result = self.run_physical(&plan, &bound, dataset, &mut rec, view_span, run);
         let (error, rejected) = match &result {
-            Ok((_, rejected)) => (false, *rejected),
+            Ok(groups) => (false, rejected_count(&plan, groups, dataset.len())),
             Err(e) => {
                 rec.attr(view_span, "error", e.to_string());
                 (true, 0)
@@ -678,13 +604,11 @@ impl QualityEngine {
             trace,
             RunContext { run_id: run, view: plan.view.clone(), error, rejected },
         );
-        result.map(|(groups, _)| ActionOutcome { groups })
+        result.map(|groups| ActionOutcome { groups })
     }
 
-    /// The walker body: every node of the plan, in process order.
-    /// Returns the action groups plus how many items filter actions
-    /// rejected (a splitter's non-matches land in its default group — an
-    /// output, not a rejection).
+    /// The walker body: every node of the plan, in process order, then
+    /// the provenance phase. Returns the action groups.
     fn run_physical(
         &self,
         plan: &PhysicalPlan,
@@ -693,7 +617,7 @@ impl QualityEngine {
         rec: &mut SpanRecorder,
         view_span: SpanId,
         run: RunId,
-    ) -> Result<(Vec<GroupResult>, u64)> {
+    ) -> Result<Vec<GroupResult>> {
         // Annotate nodes
         for (name, processor) in &bound.annotators {
             let span = rec.start(format!("node:{name}"), SpanKind::Node, Some(view_span));
@@ -713,14 +637,18 @@ impl QualityEngine {
         rec.end(enrich_span);
 
         // Assert nodes, in plan order (tags accumulate in the one map)
-        let mut tag_meta: Vec<(&str, &str, u64)> = Vec::with_capacity(plan.assertions.len());
+        let mut spans = NodeSpans {
+            enrich: Some(enrich_span.0),
+            assertions: Vec::with_capacity(plan.assertions.len()),
+            actions: Vec::with_capacity(plan.actions.len()),
+        };
         for (assert, bound_assert) in plan.assertions.iter().zip(&bound.assertions) {
             let span =
                 rec.start(format!("node:{}", bound_assert.name), SpanKind::Node, Some(view_span));
             rec.attr(span, "tag", assert.node.tag.as_str());
             bound_assert.processor.assert_quality(&mut map)?;
             rec.end(span);
-            tag_meta.push((&assert.node.tag, &bound_assert.name, span.0));
+            spans.assertions.push(Some(span.0));
         }
 
         // the Consolidate node is implicit here — the walker accumulates
@@ -734,200 +662,37 @@ impl QualityEngine {
         rec.attr(consolidate_span, "assertions", plan.assertions.len());
         rec.end(consolidate_span);
 
-        // Act nodes (remembering each action's slice of the group list
-        // so provenance can attribute memberships per action)
+        // Act nodes
         let mut groups: Vec<GroupResult> = Vec::new();
-        let mut action_slices: Vec<(usize, usize)> = Vec::with_capacity(plan.actions.len());
-        let mut action_spans: Vec<u64> = Vec::with_capacity(plan.actions.len());
         for (name, processor) in &bound.actions {
             let span = rec.start(format!("node:{name}"), SpanKind::Node, Some(view_span));
             let start = groups.len();
             groups.extend(processor.apply(dataset, &map)?);
-            action_slices.push((start, groups.len()));
             rec.attr(span, "groups", groups.len() - start);
             rec.end(span);
-            action_spans.push(span.0);
+            spans.actions.push(Some(span.0));
         }
 
-        // decision provenance: one pass over the consolidated map, one
-        // complete trace per item (no per-phase re-keying). The span is
-        // recorded unconditionally — `qv explain --spans` and the
-        // retained-trace exports rely on the interpreter's trace shape
+        // The span is recorded unconditionally — `qv explain --spans` and
+        // the retained-trace exports rely on the interpreter's trace shape
         // being identical across runs, whether or not the ledger captured
         // records and whether or not any item survived an action; the
         // `recorded` attribute says which mode this run was in.
         let prov_span = rec.start("phase:provenance", SpanKind::Phase, Some(view_span));
         rec.attr(prov_span, "recorded", self.ledger.enabled());
         rec.attr(prov_span, "items", map.len());
-        if self.ledger.enabled() {
-            // intern every per-run-constant name once; per item only the
-            // rendered values and the item key allocate
-            let sources: BTreeMap<&str, (Arc<str>, Option<Arc<str>>)> = plan
-                .enrich
-                .iter()
-                .flat_map(|group| {
-                    group.evidence.iter().map(|e| {
-                        (
-                            e.local_name(),
-                            (Arc::from(e.local_name()), Some(Arc::from(group.repository.as_str()))),
-                        )
-                    })
-                })
-                .collect();
-            type InternedTag<'a> = (&'a str, Arc<str>, Option<Arc<str>>, u64);
-            let tags: Vec<InternedTag> = tag_meta
-                .iter()
-                .map(|&(tag, service, span)| (tag, Arc::from(tag), Some(Arc::from(service)), span))
-                .collect();
-            let accepted: Arc<str> = Arc::from("accepted");
-            let rejected: Arc<str> = Arc::from("rejected");
-            enum ActionPlan {
-                Filter { group: Arc<str>, condition: Option<Arc<str>>, members: usize, span: u64 },
-                Split { targets: Vec<(Arc<str>, Option<Arc<str>>, usize)>, span: u64 },
-            }
-            // per-group membership sets, borrowed from the group datasets
-            let memberships: Vec<HashSet<&Term>> =
-                groups.iter().map(|g| g.dataset.items().iter().collect()).collect();
-            let plans: Vec<ActionPlan> = plan
-                .actions
-                .iter()
-                .zip(&action_slices)
-                .zip(&action_spans)
-                .map(|((act, &(start, end)), &span)| match &act.node.kind {
-                    ActKind::Filter { condition } => ActionPlan::Filter {
-                        group: Arc::from(act.node.name.as_str()),
-                        condition: Some(Arc::from(condition.as_str())),
-                        members: start,
-                        span,
-                    },
-                    ActKind::Split { groups: conditions } => ActionPlan::Split {
-                        targets: (start..end)
-                            .map(|i| {
-                                let result = &groups[i];
-                                let condition = conditions
-                                    .iter()
-                                    .find(|(name, _)| result.name.ends_with(&format!("/{name}")))
-                                    .map(|(_, c)| Arc::from(c.as_str()));
-                                (Arc::from(result.name.as_str()), condition, i)
-                            })
-                            .collect(),
-                        span,
-                    },
-                })
-                .collect();
-            let mut batch = Vec::with_capacity(map.len());
-            let mut interned: HashMap<&str, Arc<str>> = HashMap::new();
-            for (term, row) in map.rows() {
-                let mut trace = DecisionTrace::new(item_key(term));
-                trace.run_id = Some(run);
-                trace.evidence = row
-                    .evidence_entries()
-                    .map(|(property, value)| {
-                        let (property, source) = sources
-                            .get(property.local_name())
-                            .cloned()
-                            .unwrap_or_else(|| (Arc::from(property.local_name()), None));
-                        EvidenceRecord {
-                            property,
-                            value: capture_value(&mut interned, value),
-                            source,
-                            span: Some(enrich_span.0),
-                        }
-                    })
-                    .collect();
-                trace.assertions = tags
-                    .iter()
-                    .filter_map(|(tag, property, assertion, span)| {
-                        let value = row.tag_ref(tag).filter(|v| !v.is_null())?;
-                        Some(AssertionRecord {
-                            property: property.clone(),
-                            value: capture_value(&mut interned, value),
-                            assertion: assertion.clone(),
-                            span: Some(*span),
-                        })
-                    })
-                    .collect();
-                for action_plan in &plans {
-                    match action_plan {
-                        ActionPlan::Filter { group, condition, members, span } => {
-                            let is_member =
-                                memberships.get(*members).is_some_and(|m| m.contains(term));
-                            trace.actions.push(ActionRecord {
-                                group: group.clone(),
-                                outcome: if is_member {
-                                    accepted.clone()
-                                } else {
-                                    rejected.clone()
-                                },
-                                condition: condition.clone(),
-                                span: Some(*span),
-                            });
-                        }
-                        ActionPlan::Split { targets, span } => {
-                            for (group, condition, index) in targets {
-                                if !memberships[*index].contains(term) {
-                                    continue;
-                                }
-                                trace.actions.push(ActionRecord {
-                                    group: group.clone(),
-                                    outcome: accepted.clone(),
-                                    condition: condition.clone(),
-                                    span: Some(*span),
-                                });
-                            }
-                        }
-                    }
-                }
-                batch.push(trace);
-            }
-            self.ledger.record_traces_bulk(batch);
-        }
+        self.record_provenance(plan, &map, &groups, &spans, run);
         rec.end(prov_span);
-
-        // rejected tally for the retainer's tail-sampling policy
-        let mut rejected = 0u64;
-        for (act, &(start, _)) in plan.actions.iter().zip(&action_slices) {
-            if matches!(act.node.kind, ActKind::Filter { .. }) {
-                if let Some(group) = groups.get(start) {
-                    rejected += dataset.len().saturating_sub(group.dataset.len()) as u64;
-                }
-            }
-        }
-        Ok((groups, rejected))
+        Ok(groups)
     }
 
-    /// The full §6 path: compile, enact, decode.
+    /// The paper's §6 path: compiles the view under `config` into a
+    /// workflow, enacts it wave-parallel, and reads the action groups off
+    /// the workflow outputs. Takes the same parameters as
+    /// [`QualityEngine::execute_interpreted`], produces the same
+    /// [`ActionOutcome`] and records the same decision provenance; the
+    /// retained trace is the enactment's (view → wave → node).
     pub fn execute_compiled(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-    ) -> Result<(ActionOutcome, EnactmentReport)> {
-        self.execute_compiled_with(spec, dataset, &PlanConfig::default())
-    }
-
-    /// The §6 path under a caller-minted run id.
-    pub fn execute_compiled_run(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        run: RunId,
-    ) -> Result<(ActionOutcome, EnactmentReport)> {
-        self.execute_compiled_run_with(spec, dataset, &PlanConfig::default(), run)
-    }
-
-    /// The §6 path under an explicit plan configuration.
-    pub fn execute_compiled_with(
-        &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        config: &PlanConfig,
-    ) -> Result<(ActionOutcome, EnactmentReport)> {
-        self.execute_compiled_run_with(spec, dataset, config, RunId::mint())
-    }
-
-    /// The §6 path under an explicit plan configuration and a
-    /// caller-minted run id.
-    pub fn execute_compiled_run_with(
         &self,
         spec: &QualityViewSpec,
         dataset: &DataSet,
@@ -938,113 +703,224 @@ impl QualityEngine {
             .counter_with("engine.execute.count", &[("path", "compiled")])
             .inc();
         let view = self.validate(spec)?;
-        let (workflow, stats) =
-            compile::compile_collecting(&view, &self.iq, &self.registry, &self.catalog, config)?;
-        stats.set_enabled(self.stats_enabled());
-        let inputs = BTreeMap::from([(
-            compile::DATASET_INPUT.to_string(),
-            convert::dataset_to_data(dataset),
-        )]);
+        let plan = planner::physical_plan(&view, &self.iq, config)?;
+        let bound = exec::bind(&plan, &self.iq, &self.registry, &self.catalog)?;
+        bound.stats.set_enabled(self.stats_enabled());
+        let mut workflow = bound.into_workflow(&plan)?;
+        // provenance reads the consolidated map; only this enactment
+        // exposes it (a node name cannot clash with an action's outputs)
+        workflow
+            .declare_output(compile::CONSOLIDATE, PortRef::new(compile::CONSOLIDATE, "map"))
+            .map_err(|e| QuratorError::Compile(e.to_string()))?;
+        let inputs =
+            BTreeMap::from([(compile::DATASET_INPUT.to_string(), Data::typed(dataset.clone()))]);
         let report = Enactor::new().with_run_id(run).run(&workflow, &inputs, &Context::new())?;
-        self.note_run_stats(stats.drain(&spec.name, Some(run), dataset.len() as u64));
-        let outcome = decode_outcome(spec, &report.outputs)?;
+        self.note_run_stats(bound.stats.drain(&plan.view, Some(run), dataset.len() as u64));
+        let groups = decode_groups(&bound, &report.outputs)?;
         if self.ledger.enabled() {
-            self.record_compiled_provenance(spec, dataset, &outcome, &report, run);
+            let map =
+                report.outputs.get(compile::CONSOLIDATE).and_then(Data::as_typed).ok_or_else(
+                    || QuratorError::Execution("workflow produced no consolidated map".into()),
+                )?;
+            let span = |node: &str| report.event(node).and_then(|e| e.span).map(|s| s.0);
+            let spans = NodeSpans {
+                enrich: span(compile::DATA_ENRICHMENT),
+                assertions: plan.assertions.iter().map(|a| span(&a.node.name)).collect(),
+                actions: plan.actions.iter().map(|a| span(&a.node.name)).collect(),
+            };
+            self.record_provenance(&plan, map, &groups, &spans, run);
         }
-        let rejected = spec
-            .actions
-            .iter()
-            .filter(|a| matches!(a.kind, ActionKind::Filter { .. }))
-            .filter_map(|a| outcome.group(&a.name))
-            .map(|g| dataset.len().saturating_sub(g.dataset.len()) as u64)
-            .sum();
+        let rejected = rejected_count(&plan, &groups, dataset.len());
         self.observe_trace(
             report.trace().clone(),
-            RunContext { run_id: run, view: spec.name.clone(), error: false, rejected },
+            RunContext { run_id: run, view: plan.view.clone(), error: false, rejected },
         );
-        Ok((outcome, report))
+        Ok((ActionOutcome { groups }, report))
     }
 
-    /// Reconstructs per-item provenance from a decoded enactment outcome.
-    ///
-    /// The compiled path runs inside the workflow engine, so the records
-    /// are recovered from the surviving group maps rather than observed
-    /// in-line; they link to the producing *node* spans of the enactment
-    /// trace instead of interpreter phase spans.
-    fn record_compiled_provenance(
+    /// Decision provenance for one run, whichever executor ran it: one
+    /// pass over the consolidated map, one complete trace per item (no
+    /// per-phase re-keying). Every item gets its evidence, its non-null
+    /// tags and one record per action: accepted or rejected for a
+    /// filter, accepted into each splitter group it joined.
+    fn record_provenance(
         &self,
-        spec: &QualityViewSpec,
-        dataset: &DataSet,
-        outcome: &ActionOutcome,
-        report: &EnactmentReport,
+        plan: &PhysicalPlan,
+        map: &AnnotationMap,
+        groups: &[GroupResult],
+        spans: &NodeSpans,
         run: RunId,
     ) {
-        let node_span = |node: &str| report.event(node).and_then(|e| e.span).map(|s| s.0);
-        let enrich_span = node_span(compile::DATA_ENRICHMENT);
-        // service name that produced each tag (declaration order; later
-        // declarations with the same tag win, matching accumulation order)
-        let tag_service: BTreeMap<&str, &str> = spec
+        if !self.ledger.enabled() {
+            return;
+        }
+        // intern every per-run-constant name once; per item only the
+        // rendered values and the item key allocate
+        let sources: BTreeMap<&str, (Arc<str>, Option<Arc<str>>)> = plan
+            .enrich
+            .iter()
+            .flat_map(|group| {
+                group.evidence.iter().map(|e| {
+                    (
+                        e.local_name(),
+                        (Arc::from(e.local_name()), Some(Arc::from(group.repository.as_str()))),
+                    )
+                })
+            })
+            .collect();
+        type InternedTag<'a> = (&'a str, Arc<str>, Option<Arc<str>>, Option<u64>);
+        let tags: Vec<InternedTag> = plan
             .assertions
             .iter()
-            .map(|d| (d.tag_name.as_str(), d.service_name.as_str()))
+            .zip(&spans.assertions)
+            .map(|(assert, &span)| {
+                let tag = assert.node.tag.as_str();
+                (tag, Arc::from(tag), Some(Arc::from(assert.node.name.as_str())), span)
+            })
             .collect();
-        let mut evidence: Vec<(String, Vec<EvidenceRecord>)> = Vec::new();
-        let mut assertions: Vec<(String, Vec<AssertionRecord>)> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
+        let accepted: Arc<str> = Arc::from("accepted");
+        let rejected: Arc<str> = Arc::from("rejected");
+        enum ActionPlan {
+            Filter { group: Arc<str>, condition: Option<Arc<str>>, members: usize },
+            Split { targets: Vec<(Arc<str>, Option<Arc<str>>, usize)> },
+        }
+        // per-group membership sets, borrowed from the group datasets
+        let memberships: Vec<HashSet<&Term>> =
+            groups.iter().map(|g| g.dataset.items().iter().collect()).collect();
+        let plans: Vec<(ActionPlan, Option<u64>)> = plan
+            .actions
+            .iter()
+            .zip(action_slices(plan))
+            .zip(&spans.actions)
+            .map(|((act, slice), &span)| {
+                let action = match &act.node.kind {
+                    ActKind::Filter { condition } => ActionPlan::Filter {
+                        group: Arc::from(act.node.name.as_str()),
+                        condition: Some(Arc::from(condition.as_str())),
+                        members: slice.start,
+                    },
+                    // the slice lists the declared groups, then the
+                    // default group, which has no condition
+                    ActKind::Split { groups: conditions } => ActionPlan::Split {
+                        targets: slice
+                            .clone()
+                            .map(|i| {
+                                let condition = conditions
+                                    .get(i - slice.start)
+                                    .map(|(_, c)| Arc::from(c.as_str()));
+                                (Arc::from(groups[i].name.as_str()), condition, i)
+                            })
+                            .collect(),
+                    },
+                };
+                (action, span)
+            })
+            .collect();
+        let mut batch = Vec::with_capacity(map.len());
         let mut interned: HashMap<&str, Arc<str>> = HashMap::new();
-        for group in &outcome.groups {
-            for it in group.map.items() {
-                let key = item_key(it);
-                if !seen.insert(key.clone()) {
-                    continue;
-                }
-                let Some(row) = group.map.item(it) else { continue };
-                evidence.push((
-                    key.clone(),
-                    row.evidence_entries()
-                        .map(|(property, value)| EvidenceRecord {
-                            property: Arc::from(property.local_name()),
-                            value: capture_value(&mut interned, value),
-                            source: None,
-                            span: enrich_span,
-                        })
-                        .collect(),
-                ));
-                assertions.push((
-                    key,
-                    row.tag_entries()
-                        .map(|(tag, value)| AssertionRecord {
-                            property: Arc::from(tag),
-                            value: capture_value(&mut interned, value),
-                            assertion: tag_service.get(tag).map(|s| Arc::from(*s)),
-                            span: tag_service.get(tag).and_then(|service| node_span(service)),
-                        })
-                        .collect(),
-                ));
-            }
-        }
-        self.ledger.record_evidence_bulk(Some(run), evidence);
-        self.ledger.record_assertions_bulk(Some(run), assertions);
-        for action in &spec.actions {
-            let results: Vec<GroupResult> = outcome
-                .groups
-                .iter()
-                .filter(|g| {
-                    g.name == action.name || g.name.starts_with(&format!("{}/", action.name))
+        for (term, row) in map.rows() {
+            let mut trace = DecisionTrace::new(item_key(term));
+            trace.run_id = Some(run);
+            trace.evidence = row
+                .evidence_entries()
+                .map(|(property, value)| {
+                    let (property, source) = sources
+                        .get(property.local_name())
+                        .cloned()
+                        .unwrap_or_else(|| (Arc::from(property.local_name()), None));
+                    EvidenceRecord {
+                        property,
+                        value: capture_value(&mut interned, value),
+                        source,
+                        span: spans.enrich,
+                    }
                 })
-                .cloned()
                 .collect();
-            self.ledger.record_actions_bulk(
-                Some(run),
-                action_records(action, &results, dataset, node_span(&action.name)),
-            );
+            trace.assertions = tags
+                .iter()
+                .filter_map(|(tag, property, assertion, span)| {
+                    let value = row.tag_ref(tag).filter(|v| !v.is_null())?;
+                    Some(AssertionRecord {
+                        property: property.clone(),
+                        value: capture_value(&mut interned, value),
+                        assertion: assertion.clone(),
+                        span: *span,
+                    })
+                })
+                .collect();
+            for (action_plan, span) in &plans {
+                match action_plan {
+                    ActionPlan::Filter { group, condition, members } => {
+                        let is_member = memberships.get(*members).is_some_and(|m| m.contains(term));
+                        trace.actions.push(ActionRecord {
+                            group: group.clone(),
+                            outcome: if is_member { accepted.clone() } else { rejected.clone() },
+                            condition: condition.clone(),
+                            span: *span,
+                        });
+                    }
+                    ActionPlan::Split { targets } => {
+                        for (group, condition, index) in targets {
+                            if !memberships[*index].contains(term) {
+                                continue;
+                            }
+                            trace.actions.push(ActionRecord {
+                                group: group.clone(),
+                                outcome: accepted.clone(),
+                                condition: condition.clone(),
+                                span: *span,
+                            });
+                        }
+                    }
+                }
+            }
+            batch.push(trace);
         }
+        self.ledger.record_traces_bulk(batch);
     }
 
     /// Drops all cache-repository contents (between process executions).
     pub fn finish_execution(&self) -> usize {
         self.catalog.clear_caches()
     }
+}
+
+/// The span ids one run's provenance records link to, in plan order
+/// (`None` where the executor left no span for the node).
+struct NodeSpans {
+    enrich: Option<u64>,
+    assertions: Vec<Option<u64>>,
+    actions: Vec<Option<u64>>,
+}
+
+/// Each action's slice of the run's group list, in plan order: one group
+/// for a filter; one per declared group plus the default for a splitter.
+fn action_slices(plan: &PhysicalPlan) -> Vec<Range<usize>> {
+    let mut start = 0;
+    plan.actions
+        .iter()
+        .map(|act| {
+            let width = match &act.node.kind {
+                ActKind::Filter { .. } => 1,
+                ActKind::Split { groups } => groups.len() + 1,
+            };
+            start += width;
+            start - width..start
+        })
+        .collect()
+}
+
+/// How many items filter actions rejected, for the retainer's
+/// tail-sampling policy (a splitter's non-matches land in its default
+/// group — an output, not a rejection).
+fn rejected_count(plan: &PhysicalPlan, groups: &[GroupResult], items: usize) -> u64 {
+    plan.actions
+        .iter()
+        .zip(action_slices(plan))
+        .filter(|(act, _)| matches!(act.node.kind, ActKind::Filter { .. }))
+        .filter_map(|(_, slice)| groups.get(slice.start))
+        .map(|group| items.saturating_sub(group.dataset.len()) as u64)
+        .sum()
 }
 
 /// Ledger key for an item: the bare IRI when the term is one, else its
@@ -1084,101 +960,37 @@ fn capture_value<'a>(
     }
 }
 
-/// Builds the per-item action records for one action's group results:
-/// group members are `accepted`; for filters, non-members are `rejected`
-/// (a splitter's non-members land in its default group instead).
-fn action_records(
-    action: &ActionDecl,
-    results: &[GroupResult],
-    dataset: &DataSet,
-    span: Option<u64>,
-) -> Vec<(String, ActionRecord)> {
-    let mut batch = Vec::new();
-    match &action.kind {
-        ActionKind::Filter { condition } => {
-            let Some(group) = results.first() else { return batch };
-            let members: HashSet<&Term> = group.dataset.items().iter().collect();
-            let name: Arc<str> = Arc::from(group.name.as_str());
-            let condition: Arc<str> = Arc::from(condition.as_str());
-            let (accepted, rejected): (Arc<str>, Arc<str>) =
-                (Arc::from("accepted"), Arc::from("rejected"));
-            for it in dataset.items() {
-                let is_member = members.contains(it);
-                batch.push((
-                    item_key(it),
-                    ActionRecord {
-                        group: name.clone(),
-                        outcome: if is_member { accepted.clone() } else { rejected.clone() },
-                        condition: Some(condition.clone()),
-                        span,
-                    },
-                ));
-            }
-        }
-        ActionKind::Split { groups } => {
-            let accepted: Arc<str> = Arc::from("accepted");
-            for result in results {
-                let condition: Option<Arc<str>> = groups
-                    .iter()
-                    .find(|(name, _)| result.name.ends_with(&format!("/{name}")))
-                    .map(|(_, c)| Arc::from(c.as_str()));
-                let name: Arc<str> = Arc::from(result.name.as_str());
-                for it in result.dataset.items() {
-                    batch.push((
-                        item_key(it),
-                        ActionRecord {
-                            group: name.clone(),
-                            outcome: accepted.clone(),
-                            condition: condition.clone(),
-                            span,
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    batch
-}
-
-/// Decodes workflow outputs into an [`ActionOutcome`], preserving the
-/// spec's action/group declaration order.
-fn decode_outcome(
-    spec: &QualityViewSpec,
+/// Reads the action groups off the workflow outputs, in plan order (each
+/// group port carries a `{dataset, map}` record of typed values).
+fn decode_groups(
+    bound: &exec::BoundPlan,
     outputs: &BTreeMap<String, Data>,
-) -> Result<ActionOutcome> {
-    let mut expected: Vec<String> = Vec::new();
-    for action in &spec.actions {
-        match &action.kind {
-            ActionKind::Filter { .. } => expected.push(action.name.clone()),
-            ActionKind::Split { groups } => {
-                for (group, _) in groups {
-                    expected.push(format!("{}/{group}", action.name));
-                }
-                expected.push(format!("{}/default", action.name));
-            }
+) -> Result<Vec<GroupResult>> {
+    let mut groups = Vec::new();
+    for (_, action) in &bound.actions {
+        for name in action.group_names() {
+            let record = outputs.get(&name);
+            let dataset = record.and_then(|r| r.field("dataset")).and_then(Data::as_typed);
+            let map = record.and_then(|r| r.field("map")).and_then(Data::as_typed);
+            let (Some(dataset), Some(map)) = (dataset, map) else {
+                return Err(QuratorError::Execution(format!(
+                    "workflow output {name:?} is not a {{dataset, map}} group record"
+                )));
+            };
+            groups.push(GroupResult {
+                name,
+                dataset: DataSet::clone(dataset),
+                map: AnnotationMap::clone(map),
+            });
         }
     }
-    let mut result = Vec::with_capacity(expected.len());
-    for name in expected {
-        let data = outputs.get(&name).ok_or_else(|| {
-            QuratorError::Execution(format!("workflow produced no output {name:?}"))
-        })?;
-        let dataset =
-            convert::data_to_dataset(data.field("dataset").ok_or_else(|| {
-                QuratorError::Execution(format!("group {name:?} lacks dataset"))
-            })?)?;
-        let map = convert::data_to_map(
-            data.field("map")
-                .ok_or_else(|| QuratorError::Execution(format!("group {name:?} lacks map")))?,
-        )?;
-        result.push(GroupResult { name, dataset, map });
-    }
-    Ok(ActionOutcome { groups: result })
+    Ok(groups)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{ActionDecl, ActionKind};
     use qurator_annotations::EvidenceValue;
     use qurator_rdf::term::Term;
 
@@ -1236,7 +1048,9 @@ mod tests {
         let dataset = imprint_dataset();
         let interpreted = engine.execute_view(&spec, &dataset).unwrap();
         engine.finish_execution();
-        let (compiled, report) = engine.execute_compiled(&spec, &dataset).unwrap();
+        let (compiled, report) = engine
+            .execute_compiled(&spec, &dataset, &PlanConfig::default(), RunId::mint())
+            .unwrap();
         assert_eq!(interpreted, compiled);
         assert!(report.events.len() >= 6);
     }
@@ -1396,24 +1210,50 @@ mod tests {
     }
 
     #[test]
-    fn ledger_records_provenance_on_compiled_path() {
-        let engine = QualityEngine::with_proteomics_defaults().unwrap();
-        engine.set_provenance_enabled(true);
+    fn ledger_records_the_same_provenance_on_both_paths() {
         let mut spec = QualityViewSpec::paper_example();
         spec.actions[0].kind =
             ActionKind::Filter { condition: "ScoreClass in q:high, q:mid and HR_MC > 0".into() };
-        let (outcome, _report) = engine.execute_compiled(&spec, &imprint_dataset()).unwrap();
-        let kept = outcome.group("filter top k score").unwrap();
-        assert!(!kept.dataset.is_empty());
-        // survivors carry full provenance reconstructed from the group maps
-        let key = item_key(&kept.dataset.items()[0]);
-        let trace = engine.why(&key).expect("trace for surviving item");
-        assert!(trace.evidence.iter().any(|e| e.property.as_ref() == "HitRatio"));
-        assert!(trace.assertions.iter().any(|a| a.property.as_ref() == "ScoreClass"));
-        assert!(trace
-            .actions
-            .iter()
-            .any(|a| a.group.as_ref() == "filter top k score" && a.outcome.as_ref() == "accepted"));
+        let run = RunId::from_u64(1);
+        let config = PlanConfig::default();
+        // span ids are executor-specific; everything else must agree
+        let ledger = |engine: &QualityEngine| -> Vec<DecisionTrace> {
+            let mut traces = engine.ledger().for_run(run);
+            for trace in &mut traces {
+                trace.evidence.iter_mut().for_each(|r| r.span = None);
+                trace.assertions.iter_mut().for_each(|r| r.span = None);
+                trace.actions.iter_mut().for_each(|r| r.span = None);
+            }
+            traces
+        };
+
+        let interpreter = QualityEngine::with_proteomics_defaults().unwrap();
+        interpreter.set_provenance_enabled(true);
+        let interpreted =
+            interpreter.execute_interpreted(&spec, &imprint_dataset(), &config, run).unwrap();
+        let compiled_engine = QualityEngine::with_proteomics_defaults().unwrap();
+        compiled_engine.set_provenance_enabled(true);
+        let (compiled, report) =
+            compiled_engine.execute_compiled(&spec, &imprint_dataset(), &config, run).unwrap();
+        assert_eq!(interpreted, compiled);
+        let kept = compiled.group("filter top k score").unwrap();
+        assert!(!kept.dataset.is_empty() && kept.dataset.len() < 5);
+
+        // every input item, rejected ones too, with evidence sources
+        let traces = ledger(&compiled_engine);
+        assert_eq!(traces.len(), 5);
+        assert_eq!(traces, ledger(&interpreter));
+        for trace in &traces {
+            assert!(trace.evidence.iter().all(|e| e.source.as_deref() == Some("cache")));
+            assert!(trace.assertions.iter().any(|a| a.property.as_ref() == "ScoreClass"));
+            assert_eq!(trace.actions.len(), 1);
+        }
+        // compiled records link to the enactment's node spans
+        let trace = compiled_engine.why(&item_key(&kept.dataset.items()[0])).unwrap();
+        let node_span = |node: &str| report.event(node).and_then(|e| e.span).map(|s| s.0);
+        assert_eq!(trace.evidence[0].span, node_span(compile::DATA_ENRICHMENT));
+        assert_eq!(trace.actions[0].span, node_span("filter top k score"));
+        assert_eq!(trace.actions[0].outcome.as_ref(), "accepted");
     }
 
     #[test]

@@ -76,8 +76,7 @@ pub fn bind(
         annotators.push((
             node.name.clone(),
             Arc::new(
-                AnnotatorProcessor::new(node.name.clone(), service, repo)
-                    .with_stats(stats.clone()),
+                AnnotatorProcessor::new(node.name.clone(), service, repo).with_stats(stats.clone()),
             ),
         ));
     }

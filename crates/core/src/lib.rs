@@ -18,11 +18,10 @@
 //! * [`xmlio`] — the concrete XML syntax of §5.1 (parse + serialize);
 //! * [`validate`] — semantic validation against the IQ model, service
 //!   registry and condition type checker;
-//! * [`convert`] — encodings of data sets and annotation maps onto the
-//!   workflow data model;
 //! * [`operators`] — the abstract quality operators (Annotation, Data
 //!   Enrichment, Quality Assertion, Consolidate, Actions) as workflow
-//!   processors;
+//!   processors, passing data sets and annotation maps over links as
+//!   typed payloads;
 //! * [`planner`] — lowering of validated specs into the typed plan IR of
 //!   the `qurator-plan` crate (logical nodes, optimizing passes, waves);
 //! * [`exec`] — binding physical plans to live services/repositories and
@@ -77,7 +76,6 @@
 //! ```
 
 pub mod compile;
-pub mod convert;
 pub mod deploy;
 pub mod engine;
 pub mod exec;

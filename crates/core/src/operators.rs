@@ -11,8 +11,12 @@
 //! * [`ActionProcessor`] — condition/action pairs: filter and splitter.
 //!   Conditions are re-parsed from source at execution time so users can
 //!   edit them between runs without recompiling the view (§4).
+//!
+//! Over workflow links the operators pass the engine's own types as
+//! [`Data::Typed`] payloads: a `dataset` port carries a [`DataSet`], a
+//! `map` port an [`AnnotationMap`], and each action group port a
+//! `{dataset, map}` record of the two.
 
-use crate::convert;
 use crate::{QuratorError, Result};
 use parking_lot::Mutex;
 use qurator_annotations::map::ItemAnnotations;
@@ -48,6 +52,21 @@ fn exec_err(processor: &str, message: impl Into<String>) -> WorkflowError {
 
 fn wf_result<T>(processor: &str, r: Result<T>) -> std::result::Result<T, WorkflowError> {
     r.map_err(|e| exec_err(processor, e.to_string()))
+}
+
+/// The typed value on an input port.
+fn typed_input<'a, T: std::any::Any>(
+    processor: &str,
+    inputs: &'a Inputs,
+    port: &str,
+) -> std::result::Result<&'a T, WorkflowError> {
+    let value = inputs.get(port).ok_or_else(|| exec_err(processor, format!("missing {port}")))?;
+    value.as_typed().ok_or_else(|| {
+        exec_err(
+            processor,
+            format!("port {port:?} expects a {}, got {value}", std::any::type_name::<T>()),
+        )
+    })
 }
 
 /// The Annotation operator.
@@ -118,11 +137,8 @@ impl Processor for AnnotatorProcessor {
         inputs: &Inputs,
         _ctx: &Context,
     ) -> std::result::Result<Outputs, WorkflowError> {
-        let dataset_data =
-            inputs.get("dataset").ok_or_else(|| exec_err(&self.name, "missing dataset"))?;
-        let dataset = convert::data_to_dataset(dataset_data)
-            .map_err(|e| exec_err(&self.name, e.to_string()))?;
-        let written = wf_result(&self.name, self.annotate(&dataset))?;
+        let dataset: &DataSet = typed_input(&self.name, inputs, "dataset")?;
+        let written = wf_result(&self.name, self.annotate(dataset))?;
         Ok(BTreeMap::from([("done".to_string(), Data::Number(written as f64))]))
     }
 }
@@ -316,11 +332,9 @@ impl Processor for DataEnrichmentProcessor {
         inputs: &Inputs,
         _ctx: &Context,
     ) -> std::result::Result<Outputs, WorkflowError> {
-        let dataset_data =
-            inputs.get("dataset").ok_or_else(|| exec_err(&self.name, "missing dataset"))?;
-        let dataset = wf_result(&self.name, convert::data_to_dataset(dataset_data))?;
+        let dataset: &DataSet = typed_input(&self.name, inputs, "dataset")?;
         let map = wf_result(&self.name, self.enrich(dataset.items()))?;
-        Ok(BTreeMap::from([("map".to_string(), convert::map_to_data(&map))]))
+        Ok(BTreeMap::from([("map".to_string(), Data::typed(map))]))
     }
 }
 
@@ -423,10 +437,10 @@ impl Processor for AssertionProcessor {
         inputs: &Inputs,
         _ctx: &Context,
     ) -> std::result::Result<Outputs, WorkflowError> {
-        let map_data = inputs.get("map").ok_or_else(|| exec_err(&self.name, "missing map"))?;
-        let mut map = wf_result(&self.name, convert::data_to_map(map_data))?;
+        // the input map is shared with the other readers of the link
+        let mut map = typed_input::<AnnotationMap>(&self.name, inputs, "map")?.clone();
         wf_result(&self.name, self.assert_quality(&mut map))?;
-        Ok(BTreeMap::from([("map".to_string(), convert::map_to_data(&map))]))
+        Ok(BTreeMap::from([("map".to_string(), Data::typed(map))]))
     }
 }
 
@@ -464,15 +478,16 @@ impl Processor for ConsolidateProcessor {
         inputs: &Inputs,
         _ctx: &Context,
     ) -> std::result::Result<Outputs, WorkflowError> {
-        let mut combined = AnnotationMap::new();
-        for i in 0..self.input_count {
-            let port = format!("map{i}");
-            let map_data =
-                inputs.get(&port).ok_or_else(|| exec_err(&self.name, format!("missing {port}")))?;
-            let map = wf_result(&self.name, convert::data_to_map(map_data))?;
-            combined.merge(&map);
+        // a single input passes through unchanged (its Arc is shared)
+        if self.input_count == 1 {
+            typed_input::<AnnotationMap>(&self.name, inputs, "map0")?;
+            return Ok(BTreeMap::from([("map".to_string(), inputs["map0"].clone())]));
         }
-        Ok(BTreeMap::from([("map".to_string(), convert::map_to_data(&combined))]))
+        let mut combined = typed_input::<AnnotationMap>(&self.name, inputs, "map0")?.clone();
+        for i in 1..self.input_count {
+            combined.merge(typed_input(&self.name, inputs, &format!("map{i}"))?);
+        }
+        Ok(BTreeMap::from([("map".to_string(), Data::typed(combined))]))
     }
 }
 
@@ -802,21 +817,17 @@ impl Processor for ActionProcessor {
         inputs: &Inputs,
         _ctx: &Context,
     ) -> std::result::Result<Outputs, WorkflowError> {
-        let dataset_data =
-            inputs.get("dataset").ok_or_else(|| exec_err(&self.action_name, "missing dataset"))?;
-        let map_data =
-            inputs.get("map").ok_or_else(|| exec_err(&self.action_name, "missing map"))?;
-        let dataset = wf_result(&self.action_name, convert::data_to_dataset(dataset_data))?;
-        let map = wf_result(&self.action_name, convert::data_to_map(map_data))?;
-        let groups = wf_result(&self.action_name, self.apply(&dataset, &map))?;
+        let dataset: &DataSet = typed_input(&self.action_name, inputs, "dataset")?;
+        let map: &AnnotationMap = typed_input(&self.action_name, inputs, "map")?;
+        let groups = wf_result(&self.action_name, self.apply(dataset, map))?;
         Ok(groups
             .into_iter()
             .map(|g| {
                 (
-                    g.name.clone(),
+                    g.name,
                     Data::record([
-                        ("dataset", convert::dataset_to_data(&g.dataset)),
-                        ("map", convert::map_to_data(&g.map)),
+                        ("dataset", Data::typed(g.dataset)),
+                        ("map", Data::typed(g.map)),
                     ]),
                 )
             })
@@ -859,7 +870,7 @@ mod tests {
             repo.clone(),
         );
         let ds = sample_dataset();
-        let inputs = BTreeMap::from([("dataset".to_string(), convert::dataset_to_data(&ds))]);
+        let inputs = BTreeMap::from([("dataset".to_string(), Data::typed(ds))]);
         let out = annotator.execute(&inputs, &Context::new()).unwrap();
         assert_eq!(out["done"], Data::Number(6.0));
 
@@ -868,7 +879,7 @@ mod tests {
             vec![(q::iri("HitRatio"), repo.clone()), (q::iri("MassCoverage"), repo)],
         );
         let out = de.execute(&inputs, &Context::new()).unwrap();
-        let map = convert::data_to_map(&out["map"]).unwrap();
+        let map: &AnnotationMap = out["map"].as_typed().unwrap();
         assert_eq!(map.len(), 3);
         assert_eq!(
             map.item(&item(1)).unwrap().evidence(&q::iri("HitRatio")),
@@ -934,10 +945,12 @@ mod tests {
         for (i, v) in [(1u32, 0.1), (2, 0.5), (3, 0.9)] {
             map.set_evidence(&item(i), q::iri("HitRatio"), v.into());
         }
-        let inputs = BTreeMap::from([("map".to_string(), convert::map_to_data(&map))]);
+        let inputs = BTreeMap::from([("map".to_string(), Data::typed(map.clone()))]);
         let out = qa.execute(&inputs, &Context::new()).unwrap();
-        let tagged = convert::data_to_map(&out["map"]).unwrap();
+        let tagged: &AnnotationMap = out["map"].as_typed().unwrap();
         assert!(tagged.item(&item(3)).unwrap().tag("HR").as_number().unwrap() > 0.0);
+        // the input map itself is left untouched
+        assert_eq!(inputs["map"].as_typed::<AnnotationMap>(), Some(&map));
     }
 
     #[test]
@@ -948,14 +961,32 @@ mod tests {
         b.set_tag(&item(1), "MC", 2.0.into());
         let c = ConsolidateProcessor::new("ConsolidateAssertions", 2);
         let inputs = BTreeMap::from([
-            ("map0".to_string(), convert::map_to_data(&a)),
-            ("map1".to_string(), convert::map_to_data(&b)),
+            ("map0".to_string(), Data::typed(a.clone())),
+            ("map1".to_string(), Data::typed(b)),
         ]);
         let out = c.execute(&inputs, &Context::new()).unwrap();
-        let merged = convert::data_to_map(&out["map"]).unwrap();
+        let merged: &AnnotationMap = out["map"].as_typed().unwrap();
         let row = merged.item(&item(1)).unwrap();
         assert_eq!(row.tag("HR"), EvidenceValue::Number(1.0));
         assert_eq!(row.tag("MC"), EvidenceValue::Number(2.0));
+        // one input: passed through without a copy
+        let single = ConsolidateProcessor::new("ConsolidateAssertions", 1);
+        let inputs = BTreeMap::from([("map0".to_string(), Data::typed(a))]);
+        let out = single.execute(&inputs, &Context::new()).unwrap();
+        let (Data::Typed(before), Data::Typed(after)) = (&inputs["map0"], &out["map"]) else {
+            panic!("typed map expected");
+        };
+        assert!(Arc::ptr_eq(before, after));
+    }
+
+    #[test]
+    fn wrongly_typed_inputs_are_execution_errors() {
+        let c = ConsolidateProcessor::new("ConsolidateAssertions", 1);
+        let inputs = BTreeMap::from([("map0".to_string(), Data::typed(DataSet::new()))]);
+        let err = c.execute(&inputs, &Context::new()).unwrap_err();
+        assert!(err.to_string().contains("expects a"), "{err}");
+        let err = c.execute(&BTreeMap::new(), &Context::new()).unwrap_err();
+        assert!(err.to_string().contains("missing map0"), "{err}");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! and query iteration order agree bit-for-bit.
 
 use qurator::prelude::*;
+use qurator_plan::PlanConfig;
 use qurator_rdf::storage::test_support::TempDir;
 use qurator_rdf::term::Term;
 use qurator_telemetry::RunId;
@@ -70,7 +71,9 @@ fn random_dataset(mut seed: u64, rows: usize) -> DataSet {
 /// and every item's `why(item)` ledger (span ids excluded — they are
 /// process-order artifacts, not behavior).
 fn observe(engine: &QualityEngine, spec: &QualityViewSpec, dataset: &DataSet, run: u64) -> String {
-    let outcome = engine.execute_view_run(spec, dataset, RunId::from_u64(run)).expect("execute");
+    let outcome = engine
+        .execute_interpreted(spec, dataset, &PlanConfig::default(), RunId::from_u64(run))
+        .expect("execute");
     let mut out = String::new();
     for group in &outcome.groups {
         out.push_str(&format!("group {}\n", group.name));

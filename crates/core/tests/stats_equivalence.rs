@@ -68,11 +68,13 @@ fn parallel_enactment_stats_agree_with_the_sequential_interpreter() {
     let data = dataset(24);
 
     let interpreter = QualityEngine::with_proteomics_defaults().unwrap();
-    interpreter.execute_view_run(&spec, &data, RunId::from_u64(1)).unwrap();
+    interpreter
+        .execute_interpreted(&spec, &data, &PlanConfig::default(), RunId::from_u64(1))
+        .unwrap();
     let sequential = interpreter.last_run_stats().expect("interpreter stats");
 
     let compiled = QualityEngine::with_proteomics_defaults().unwrap();
-    compiled.execute_compiled_run(&spec, &data, RunId::from_u64(2)).unwrap();
+    compiled.execute_compiled(&spec, &data, &PlanConfig::default(), RunId::from_u64(2)).unwrap();
     let merged = compiled.last_run_stats().expect("compiled stats");
 
     assert_eq!(sequential.items, merged.items);
@@ -94,7 +96,9 @@ fn persisted_profiles_continue_their_decay_across_restarts() {
     {
         let engine = QualityEngine::with_proteomics_defaults().unwrap();
         engine.set_store_root(tmp.path()).unwrap();
-        engine.execute_view_run(&spec, &data, RunId::from_u64(7)).unwrap();
+        engine
+            .execute_interpreted(&spec, &data, &PlanConfig::default(), RunId::from_u64(7))
+            .unwrap();
         assert_eq!(engine.stats_profile("stats-equiv").unwrap().runs, 1);
         engine.flush_stores().unwrap();
     }
@@ -102,7 +106,7 @@ fn persisted_profiles_continue_their_decay_across_restarts() {
     // persisted profile instead of restarting the decay
     let engine = QualityEngine::with_proteomics_defaults().unwrap();
     engine.set_store_root(tmp.path()).unwrap();
-    engine.execute_view_run(&spec, &data, RunId::from_u64(8)).unwrap();
+    engine.execute_interpreted(&spec, &data, &PlanConfig::default(), RunId::from_u64(8)).unwrap();
     let profile = engine.stats_profile("stats-equiv").unwrap();
     assert_eq!(profile.runs, 2, "restart reset the profile");
 }
@@ -122,7 +126,14 @@ fn analyze_rendering_is_identical_across_backends() {
         // lowered with the profile of the *previous* round, as `qv run
         // --analyze` does — round 2's plan carries `planned ~N rows`
         for round in 0..2u64 {
-            engine.execute_view_run(&spec, &data, RunId::from_u64(round + 1)).unwrap();
+            engine
+                .execute_interpreted(
+                    &spec,
+                    &data,
+                    &PlanConfig::default(),
+                    RunId::from_u64(round + 1),
+                )
+                .unwrap();
             let plan = engine.plan_with_stats(&spec, &PlanConfig::default()).unwrap();
             let stats = engine.last_run_stats().expect("run stats");
             renderings.push(render_analyze_text(&plan, &stats, false));

@@ -266,10 +266,7 @@ fn stats_profile(plan: &mut PhysicalPlan, profile: &StatsProfile) -> PassOutcome
     for name in names {
         let Some(node) = profile.node(&name) else { continue };
         let rows = node.rows_out.round() as u64;
-        notes.push(format!(
-            "{name}: ~{rows} rows out, ~{} evidence",
-            node.evidence.round() as u64
-        ));
+        notes.push(format!("{name}: ~{rows} rows out, ~{} evidence", node.evidence.round() as u64));
         plan.observed_rows.push((name, rows));
     }
     PassOutcome { changed: !plan.observed_rows.is_empty(), notes }

@@ -130,8 +130,7 @@ pub fn lint_metrics_text(input: &str) -> Result<usize, Vec<String>> {
         let Some((series, _value)) = line.rsplit_once(' ') else { continue };
         names.insert(base_name(series).to_string());
     }
-    let errors: Vec<String> =
-        names.iter().filter_map(|name| check_name(name).err()).collect();
+    let errors: Vec<String> = names.iter().filter_map(|name| check_name(name).err()).collect();
     if errors.is_empty() {
         Ok(names.len())
     } else {

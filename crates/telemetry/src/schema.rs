@@ -351,13 +351,15 @@ pub fn validate_analyze_json(input: &str) -> Result<usize, String> {
         let node_field = |key: &str| -> Result<&Value, String> {
             obj.get(key).ok_or_else(|| format!("nodes[{i}] missing key {key:?}"))
         };
-        let name =
-            node_field("node")?.as_str().ok_or_else(|| format!("nodes[{i}].node must be a string"))?;
+        let name = node_field("node")?
+            .as_str()
+            .ok_or_else(|| format!("nodes[{i}].node must be a string"))?;
         if !names.insert(name.to_string()) {
             return Err(format!("duplicate node {name:?}"));
         }
-        let kind =
-            node_field("kind")?.as_str().ok_or_else(|| format!("nodes[{i}].kind must be a string"))?;
+        let kind = node_field("kind")?
+            .as_str()
+            .ok_or_else(|| format!("nodes[{i}].kind must be a string"))?;
         if !matches!(kind, "annotate" | "enrich" | "assert" | "consolidate" | "act") {
             return Err(format!("nodes[{i}]: unknown node kind {kind:?}"));
         }
@@ -516,7 +518,17 @@ mod tests {
     fn accepts_stats_profile_json() {
         let mut profile = crate::stats::StatsProfile::new("fig1", 42);
         let mut run = crate::stats::RunStats::default();
-        run.nodes.insert("Enrich".into(), crate::stats::NodeStats { calls: 1, rows_in: 5, rows_out: 5, evidence: 15, hits: 5, wall_ns: 1000 });
+        run.nodes.insert(
+            "Enrich".into(),
+            crate::stats::NodeStats {
+                calls: 1,
+                rows_in: 5,
+                rows_out: 5,
+                evidence: 15,
+                hits: 5,
+                wall_ns: 1000,
+            },
+        );
         profile.observe(&run);
         assert_eq!(validate_stats_profile_json(&profile.to_json()).unwrap(), 1);
         assert!(validate_stats_profile_json("{}").is_err());

@@ -1,13 +1,41 @@
 //! The value model flowing over data links.
 //!
-//! Taverna's data model is strings and nested lists; the quality framework
-//! additionally ships structured messages (data sets, annotation maps)
-//! between processors, so we extend the model with numbers, booleans and
-//! records. Everything is deep-clonable and order-stable so enactments are
-//! deterministic.
+//! Taverna's data model is strings and nested lists; we extend it with
+//! numbers, booleans and records. Structured messages (the quality
+//! framework's data sets and annotation maps) travel as [`Data::Typed`]
+//! payloads: shared, never encoded or copied by the enactor. Everything
+//! is clonable and order-stable so enactments are deterministic.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+/// A value a processor hands downstream as-is. Any `Debug + PartialEq`
+/// type that is `Send + Sync` qualifies; equality compares values of the
+/// same type.
+pub trait Payload: Any + Send + Sync + fmt::Debug {
+    /// Value equality against another payload (false across types).
+    fn eq_payload(&self, other: &dyn Payload) -> bool;
+    /// The payload's type name (for display and error messages).
+    fn payload_type(&self) -> &'static str;
+}
+
+impl<T: Any + Send + Sync + fmt::Debug + PartialEq> Payload for T {
+    fn eq_payload(&self, other: &dyn Payload) -> bool {
+        (other as &dyn Any).downcast_ref::<T>().is_some_and(|other| self == other)
+    }
+
+    fn payload_type(&self) -> &'static str {
+        std::any::type_name::<T>()
+    }
+}
+
+impl PartialEq for dyn Payload {
+    fn eq(&self, other: &Self) -> bool {
+        self.eq_payload(other)
+    }
+}
 
 /// A value on a data link.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -20,6 +48,9 @@ pub enum Data {
     Text(String),
     List(Vec<Data>),
     Record(BTreeMap<String, Data>),
+    /// A shared typed value (a data set, an annotation map). Cloning the
+    /// `Data` clones the `Arc`, not the value.
+    Typed(Arc<dyn Payload>),
 }
 
 impl Data {
@@ -30,6 +61,19 @@ impl Data {
         K: Into<String>,
     {
         Data::Record(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Wraps a typed value.
+    pub fn typed<T: Payload>(value: T) -> Self {
+        Data::Typed(Arc::new(value))
+    }
+
+    /// The typed value, when this is a [`Data::Typed`] of type `T`.
+    pub fn as_typed<T: Any>(&self) -> Option<&T> {
+        match self {
+            Data::Typed(payload) => (&**payload as &dyn Any).downcast_ref(),
+            _ => None,
+        }
     }
 
     /// Builds a list.
@@ -82,8 +126,9 @@ impl Data {
         self.as_record().and_then(|m| m.get(name))
     }
 
-    /// The nesting depth: 0 for scalars/records, 1 + max child depth for
-    /// lists (empty lists have depth 1). This drives implicit iteration.
+    /// The nesting depth: 0 for scalars, records and typed values, 1 + max
+    /// child depth for lists (empty lists have depth 1). This drives
+    /// implicit iteration.
     pub fn depth(&self) -> usize {
         match self {
             Data::List(items) => 1 + items.iter().map(Data::depth).max().unwrap_or(0),
@@ -91,7 +136,8 @@ impl Data {
         }
     }
 
-    /// Total number of scalar leaves (diagnostics / report sizing).
+    /// Total number of scalar leaves (diagnostics / report sizing); a
+    /// typed value counts as one.
     pub fn leaf_count(&self) -> usize {
         match self {
             Data::List(items) => items.iter().map(Data::leaf_count).sum(),
@@ -129,6 +175,7 @@ impl fmt::Display for Data {
                 }
                 write!(f, "}}")
             }
+            Data::Typed(payload) => write!(f, "<{}>", (**payload).payload_type()),
         }
     }
 }
@@ -204,6 +251,22 @@ mod tests {
     fn display_is_readable() {
         let v = Data::list([Data::record([("id", "P1".into())]), 2i64.into()]);
         assert_eq!(v.to_string(), r#"[{id: "P1"}, 2]"#);
+    }
+
+    #[test]
+    fn typed_values_are_shared_and_compare_by_value() {
+        let v = Data::typed(vec![1u32, 2, 3]);
+        let shared = v.clone();
+        assert_eq!(v.as_typed::<Vec<u32>>(), Some(&vec![1, 2, 3]));
+        assert!(std::ptr::eq(v.as_typed::<Vec<u32>>().unwrap(), shared.as_typed().unwrap()));
+        assert!(v.as_typed::<String>().is_none());
+        assert_eq!(v, Data::typed(vec![1u32, 2, 3]));
+        assert_ne!(v, Data::typed(vec![1u32]));
+        assert_ne!(Data::typed(1u32), Data::typed(1u64));
+        assert_eq!(v.depth(), 0);
+        assert_eq!(Data::list([v.clone(), v.clone()]).depth(), 1);
+        assert_eq!(v.leaf_count(), 1);
+        assert_eq!(Data::typed(1u8).to_string(), "<u8>");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! primitives from scratch:
 //!
 //! * [`data`] — the value model flowing over data links (text, numbers,
-//!   lists, records — a superset of Taverna's string/list model);
+//!   lists, records and shared typed payloads — a superset of Taverna's
+//!   string/list model);
 //! * [`processor`] — the [`processor::Processor`] trait (the extensible
 //!   processor collection) and an execution context carrying shared
 //!   resources (annotation repositories, service registries);
@@ -33,7 +34,7 @@ pub mod enact;
 pub mod model;
 pub mod processor;
 
-pub use data::Data;
+pub use data::{Data, Payload};
 pub use embed::{Connector, EmbedDescriptor};
 pub use enact::{EnactmentReport, Enactor, NodeEvent};
 pub use model::{DataLink, PortRef, Workflow};

@@ -4,9 +4,11 @@
 
 use qurator::deploy::DeploymentPlan;
 use qurator::prelude::*;
+use qurator_plan::PlanConfig;
 use qurator_proteomics::{World, WorldConfig};
 use qurator_repro::ispider::{figure7_view, hits_to_dataset, FIGURE7_GROUP};
 use qurator_repro::{significance_ranking, IspiderPipeline};
+use qurator_telemetry::RunId;
 use qurator_workflow::PortRef;
 
 fn world() -> World {
@@ -53,20 +55,54 @@ fn figure7_experiment_reproduces_paper_shape() {
 
 #[test]
 fn interpreter_and_compiled_agree_on_real_spots() {
+    use qurator::spec::ActionKind;
+    use qurator_rdf::term::Term;
     let world = world();
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
-    let view = figure7_view();
 
+    let mut inputs: Vec<(String, QualityViewSpec, DataSet)> = Vec::new();
     for peak_list in world.peak_lists().iter().take(3) {
         let hits = world.imprint.search(peak_list);
         let dataset = hits_to_dataset(&peak_list.spot_id, &hits);
-
-        let interpreted = engine.execute_view(&view, &dataset).expect("interprets");
-        engine.finish_execution();
-        let (compiled, _) = engine.execute_compiled(&view, &dataset).expect("compiles+runs");
-        engine.finish_execution();
-        assert_eq!(interpreted, compiled, "spot {}", peak_list.spot_id);
+        inputs.push((format!("spot {}", peak_list.spot_id), figure7_view(), dataset));
     }
+    // the bench view over 20 items, one of them a blank node: its identity
+    // must survive the workflow links unchanged
+    let mut bench_view = QualityViewSpec::paper_example();
+    bench_view.actions[0].kind =
+        ActionKind::Filter { condition: "ScoreClass in q:high, q:mid and HR_MC > 0".into() };
+    let mut dataset = DataSet::new();
+    for i in 0..20u32 {
+        let item = if i == 3 {
+            Term::blank("b3")
+        } else {
+            Term::iri(format!("urn:lsid:bench:hit:H{i:06}"))
+        };
+        let quality = f64::from(20 - i) / 20.0;
+        dataset.push(
+            item,
+            [
+                ("hitRatio", EvidenceValue::from(0.05 + 0.9 * quality)),
+                ("massCoverage", EvidenceValue::from(50.0 * quality)),
+                ("peptidesCount", EvidenceValue::from((1.0 + 14.0 * quality) as i64)),
+            ],
+        );
+    }
+    inputs.push(("bench view with blank item _:b3".into(), bench_view, dataset));
+
+    for (label, view, dataset) in &inputs {
+        let interpreted = engine.execute_view(view, dataset).expect("interprets");
+        engine.finish_execution();
+        let (compiled, _) = engine
+            .execute_compiled(view, dataset, &PlanConfig::default(), RunId::mint())
+            .expect("compiles+runs");
+        engine.finish_execution();
+        assert_eq!(interpreted, compiled, "{label}");
+    }
+    // the blank item is scored and kept like the IRI items around it
+    let (_, view, dataset) = inputs.last().unwrap();
+    let kept = engine.execute_view(view, dataset).expect("interprets");
+    assert!(kept.groups[0].dataset.items().contains(&Term::blank("b3")));
 }
 
 #[test]
@@ -144,7 +180,7 @@ fn different_seeds_preserve_the_shape() {
 /// dev-dependency cycle, so the host workflow is duplicated here in its
 /// minimal form.
 mod bench_host {
-    use qurator::convert;
+    use qurator::prelude::DataSet;
     use qurator_proteomics::World;
     use qurator_repro::ispider::hits_to_dataset;
     use qurator_workflow::{Data, FnProcessor, PortRef, Processor, Workflow, WorkflowError};
@@ -177,13 +213,13 @@ mod bench_host {
                     }
                 })?;
             let hits = imprint_world.imprint.search(peak_list);
-            Ok(convert::dataset_to_data(&hits_to_dataset(spot_id, &hits)))
+            Ok(Data::typed(hits_to_dataset(spot_id, &hits)))
         });
         let goa_world = world.clone();
         let goa = FnProcessor::map1(nodes::GOA, "hits", "terms", move |hits, _| {
-            let dataset = convert::data_to_dataset(hits).map_err(|e| WorkflowError::Execution {
+            let dataset: &DataSet = hits.as_typed().ok_or_else(|| WorkflowError::Execution {
                 processor: nodes::GOA.into(),
-                message: e.to_string(),
+                message: format!("expected a data set, got {hits}"),
             })?;
             let mut terms = Vec::new();
             for item in dataset.items() {
@@ -267,7 +303,9 @@ fn multi_action_views_agree_across_paths() {
     }
     let interpreted = engine.execute_view(&spec, &dataset).expect("interprets");
     engine.finish_execution();
-    let (compiled, _) = engine.execute_compiled(&spec, &dataset).expect("compiles");
+    let (compiled, _) = engine
+        .execute_compiled(&spec, &dataset, &PlanConfig::default(), RunId::mint())
+        .expect("compiles");
     assert_eq!(interpreted, compiled);
     assert_eq!(
         interpreted.group_names(),

@@ -4,8 +4,10 @@
 
 use qurator::prelude::*;
 use qurator::spec::{ActionDecl, ActionKind, AssertionDecl, TagKind, VarDecl};
+use qurator_plan::PlanConfig;
 use qurator_rdf::namespace::q;
 use qurator_rdf::term::Term;
+use qurator_telemetry::RunId;
 
 fn engine() -> QualityEngine {
     QualityEngine::with_proteomics_defaults().expect("engine")
@@ -176,7 +178,9 @@ fn deep_chain_of_tag_dependencies_compiles_and_runs() {
     let dataset = hits(6);
     let direct = engine.execute_view(&spec, &dataset).expect("interprets");
     engine.finish_execution();
-    let (compiled, _) = engine.execute_compiled(&spec, &dataset).expect("compiled");
+    let (compiled, _) = engine
+        .execute_compiled(&spec, &dataset, &PlanConfig::default(), RunId::mint())
+        .expect("compiled");
     assert_eq!(direct, compiled);
     assert!(!direct.groups[0].dataset.is_empty());
 }
