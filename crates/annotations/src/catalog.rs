@@ -3,9 +3,12 @@
 //!
 //! QV specifications reference repositories by name
 //! (`repositoryRef="cache"`); the catalog resolves those names at
-//! compile/execution time and clears all cache (non-persistent)
-//! repositories between process executions (paper §4: "the scope of
-//! annotations is a single process execution" for on-the-fly evidence).
+//! compile/execution time. It holds the repositories that outlive one
+//! execution: persistent ones, and caches a host registered explicitly.
+//! A non-persistent name the catalog does not hold is not registered
+//! here at all: binding a plan mints a fresh in-memory repository for
+//! that one execution (paper §4: "the scope of annotations is a single
+//! process execution" for on-the-fly evidence).
 
 use crate::repository::AnnotationRepository;
 use crate::{AnnotationError, Result};
@@ -131,8 +134,10 @@ impl RepositoryCatalog {
         Ok(())
     }
 
-    /// Gets a repository, creating a cache repository on first reference
-    /// (QV specs may name fresh caches without prior setup).
+    /// Gets a repository, registering a cache repository on first
+    /// reference. A registered cache is host-owned: every execution that
+    /// names it shares it, unlike the per-execution caches plan binding
+    /// mints for unregistered names.
     pub fn get_or_create_cache(&self, name: &str) -> Arc<AnnotationRepository> {
         if let Some(repo) = self.get(name) {
             return repo;
@@ -148,20 +153,6 @@ impl RepositoryCatalog {
     /// Looks a repository up, erroring with the QV-validation message.
     pub fn require(&self, name: &str) -> Result<Arc<AnnotationRepository>> {
         self.get(name).ok_or_else(|| AnnotationError::UnknownRepository(name.to_string()))
-    }
-
-    /// Clears every non-persistent repository; returns how many were
-    /// cleared. Called between quality-process executions.
-    pub fn clear_caches(&self) -> usize {
-        let repos = self.repositories.read();
-        let mut cleared = 0;
-        for repo in repos.values() {
-            if !repo.is_persistent() {
-                repo.clear();
-                cleared += 1;
-            }
-        }
-        cleared
     }
 
     /// Names of all repositories, in order.
@@ -251,18 +242,5 @@ mod tests {
         assert!(err.to_string().contains("locked"), "err: {err}");
         assert!(c.store_root().is_none());
         assert!(c.names().is_empty());
-    }
-
-    #[test]
-    fn clear_caches_spares_persistent() {
-        let c = catalog();
-        let cache = c.create("cache", false).unwrap();
-        let durable = c.create("uniprot", true).unwrap();
-        let item = Term::iri("urn:lsid:t:h:1");
-        cache.annotate(&item, &q::iri("HitRatio"), 1.0.into()).unwrap();
-        durable.annotate(&item, &q::iri("HitRatio"), 1.0.into()).unwrap();
-        assert_eq!(c.clear_caches(), 1);
-        assert_eq!(cache.triple_count(), 0);
-        assert_eq!(durable.triple_count(), 3);
     }
 }

@@ -116,8 +116,8 @@ pub struct AnnotationRepository {
 
 impl AnnotationRepository {
     /// Creates an in-memory repository. `persistent = false` marks a
-    /// per-execution cache whose contents are dropped by
-    /// [`AnnotationRepository::clear`] between process executions (§4).
+    /// cache: plan binding mints one per execution for an unregistered
+    /// cache name, and it is freed when that execution ends (§4).
     pub fn new(name: impl Into<String>, persistent: bool, iq: Arc<IqModel>) -> Self {
         AnnotationRepository {
             name: name.into(),
@@ -630,8 +630,7 @@ impl AnnotationRepository {
         Ok(written)
     }
 
-    /// Drops all annotations (cache repositories are cleared between
-    /// process executions; calling this on a persistent repository is
+    /// Drops all annotations (calling this on a persistent repository is
     /// allowed but unusual and returns `false` to flag it).
     pub fn clear(&self) -> bool {
         self.store.write().clear();

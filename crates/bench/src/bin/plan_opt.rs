@@ -50,7 +50,6 @@ fn main() {
                 let outcome = engine
                     .execute_interpreted(&spec, dataset, config, RunId::mint())
                     .expect("view runs");
-                engine.finish_execution();
                 outcome.group(FIGURE7_GROUP).map_or(0, |g| g.dataset.items().len())
             })
             .sum()

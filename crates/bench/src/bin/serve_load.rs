@@ -160,6 +160,8 @@ fn run_client(
     pace: Duration,
 ) -> (Vec<f64>, usize) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    // each part goes out when written, so the pace is the only delay
+    stream.set_nodelay(true).expect("TCP_NODELAY");
     stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
     let head = format!(
         "POST /run/{view} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n",

@@ -409,7 +409,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         }
     }
     write_telemetry(args, &engine)?;
-    engine.finish_execution();
     Ok(())
 }
 
@@ -482,7 +481,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write {path:?}: {e}"))?;
         println!("folded stacks -> {path}");
     }
-    engine.finish_execution();
     Ok(())
 }
 
@@ -768,7 +766,6 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         print!("{}", trace.render_with(if show_spans { span_trace.as_ref() } else { None }));
     }
     write_telemetry(args, &engine)?;
-    engine.finish_execution();
     Ok(())
 }
 

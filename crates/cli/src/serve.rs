@@ -67,10 +67,21 @@
 //! [`ServeState`], so the routing table is unit-testable without
 //! sockets; the connection layer above it owns framing, keep-alive and
 //! error mapping (400 malformed / 408 timeout / 413 oversized / 503
-//! shed).
+//! shed). A response's head and body go out in one write, on a socket
+//! with `TCP_NODELAY` set.
+//!
+//! ## Execution scope
+//!
+//! Each `POST /run/<view>` is one execution in the paper's §4 sense: the
+//! view's cache repositories are minted when its plan is bound and freed
+//! with it (see `qurator::exec::bind`), so no request reads evidence
+//! another request annotated, and memory does not grow with the ids the
+//! server has seen. `GET /store` and the `store.resident.*` gauges report
+//! only what outlives a request: persistent repositories and caches the
+//! host registered.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{ErrorKind, Read as _, Write as _};
+use std::io::{ErrorKind, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -326,6 +337,7 @@ fn route_inner(
             // lazy SLO tick: budgets are recomputed whenever someone
             // scrapes, so the hot request path never pays for them
             state.slo.tick(qurator_telemetry::metrics(), now_ms());
+            export_resident_gauges(state);
             Response::text(200, qurator_telemetry::metrics().render_prometheus())
         }
         ("GET", "/traces/recent") => match parse_limit(query, 32) {
@@ -476,6 +488,20 @@ fn view_stats(state: &ServeState, view: &str) -> Response {
     match state.engine.stats_profile(view) {
         Some(profile) => Response::json(200, profile.to_json()),
         None => Response::error(404, &format!("view {view:?} has no recorded runs yet")),
+    }
+}
+
+/// Sets `store.resident.triples{repo}` and `store.resident.terms{repo}`
+/// for every catalog repository, so state that outlives its runs shows on
+/// the scrape.
+fn export_resident_gauges(state: &ServeState) {
+    let catalog = state.engine.catalog();
+    let metrics = qurator_telemetry::metrics();
+    for name in catalog.names() {
+        let Some(repo) = catalog.get(&name) else { continue };
+        let labels = [("repo", name.as_str())];
+        metrics.gauge_with("store.resident.triples", &labels).set(repo.triple_count() as i64);
+        metrics.gauge_with("store.resident.terms", &labels).set(repo.term_count() as i64);
     }
 }
 
@@ -741,28 +767,29 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn write_response(stream: &mut TcpStream, response: &Response, close: bool) -> std::io::Result<()> {
-    let retry_after = match response.retry_after {
-        Some(secs) => format!("Retry-After: {secs}\r\n"),
-        None => String::new(),
-    };
-    let run_id = match response.run_id {
-        Some(run) => format!("X-QV-Run-Id: {run}\r\n"),
-        None => String::new(),
-    };
+/// Frames `response` (head and body) into one buffer and sends it with a
+/// single `write_all`. A head written apart from its body leaves the body
+/// behind Nagle's algorithm until the client's delayed ACK of the head.
+fn write_response(mut out: impl Write, response: &Response, close: bool) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(192 + response.body.len());
     write!(
-        stream,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: {}\r\n\r\n",
+        frame,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         response.status,
         reason(response.status),
         response.content_type,
         response.body.len(),
-        retry_after,
-        run_id,
-        if close { "close" } else { "keep-alive" },
     )?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    if let Some(secs) = response.retry_after {
+        write!(frame, "Retry-After: {secs}\r\n")?;
+    }
+    if let Some(run) = response.run_id {
+        write!(frame, "X-QV-Run-Id: {run}\r\n")?;
+    }
+    write!(frame, "Connection: {}\r\n\r\n", if close { "close" } else { "keep-alive" })?;
+    frame.extend_from_slice(response.body.as_bytes());
+    out.write_all(&frame)?;
+    out.flush()
 }
 
 /// `QV_SERVE_LOG=debug` turns on per-connection stderr diagnostics
@@ -780,7 +807,7 @@ fn debug_log_enabled() -> bool {
 /// address instead of vanishing. Returns whether the connection is still
 /// usable.
 fn send_response(stream: &mut TcpStream, response: &Response, close: bool) -> bool {
-    match write_response(stream, response, close) {
+    match write_response(&mut *stream, response, close) {
         Ok(()) => !close,
         Err(e) => {
             qurator_telemetry::metrics().counter("serve.write_error").inc();
@@ -815,6 +842,8 @@ fn handle_connection(
 ) {
     // accepted sockets may inherit the listener's non-blocking mode
     let _ = stream.set_nonblocking(false);
+    // every response is one write; nothing is gained by holding it back
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_else(|_| "-".into());
     let mut conn = Conn::new(stream);
@@ -1178,18 +1207,105 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         assert!(value.get("store_root").unwrap().is_null());
         assert_eq!(value.get("repositories").and_then(|v| v.as_array()).unwrap().len(), 0);
 
-        // A run creates the view's cache repository lazily; it shows up
-        // as a memory backend.
+        // A run's cache lives only as long as the run, so it never shows
+        // up; a cache the host registered does, as a memory backend.
         assert_eq!(route(&state, "POST", "/run/serve-test", DATA).status, 200);
+        state.engine.catalog().get_or_create_cache("host-cache");
         let r = route(&state, "GET", "/store", "");
         let value = json::parse(&r.body).unwrap();
         let repos = value.get("repositories").and_then(|v| v.as_array()).unwrap();
-        let cache = repos
-            .iter()
-            .find(|r| r.get("name").and_then(|v| v.as_str()) == Some("cache"))
-            .expect("cache repository listed");
-        assert_eq!(cache.get("backend").and_then(|v| v.as_str()), Some("memory"));
-        assert_eq!(cache.get("persistent").and_then(|v| v.as_bool()), Some(false));
+        assert_eq!(repos.len(), 1, "{}", r.body);
+        assert_eq!(repos[0].get("name").and_then(|v| v.as_str()), Some("host-cache"));
+        assert_eq!(repos[0].get("backend").and_then(|v| v.as_str()), Some("memory"));
+        assert_eq!(repos[0].get("persistent").and_then(|v| v.as_bool()), Some(false));
+    }
+
+    /// `qv run` on the second file accepts nothing: its rows carry no
+    /// evidence. A served run must not see the evidence an earlier
+    /// request annotated for the same ids.
+    #[test]
+    fn cache_does_not_leak_across_requests() {
+        let state = state();
+        let accepted = |r: &Response| {
+            let value = json::parse(&r.body).unwrap();
+            let groups = value.get("groups").and_then(|v| v.as_array()).unwrap();
+            groups[0].get("count").and_then(|v| v.as_f64()).unwrap()
+        };
+        let first = "id\thitRatio\tmassCoverage\tpeptidesCount\n\
+urn:lsid:t:h:a\t0.9\t40\t12\n\
+urn:lsid:t:h:b\t0.8\t35\t10\n\
+urn:lsid:t:h:c\t0.1\t3\t1\n";
+        let r = route(&state, "POST", "/run/serve-test", first);
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(accepted(&r) > 0.0, "{}", r.body);
+
+        let resubmitted = "id\thitRatio\tmassCoverage\tpeptidesCount\n\
+urn:lsid:t:h:a\t\t\t\n\
+urn:lsid:t:h:b\t\t\t\n\
+urn:lsid:t:h:c\t\t\t\n";
+        let r = route(&state, "POST", "/run/serve-test", resubmitted);
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(accepted(&r), 0.0, "{}", r.body);
+    }
+
+    #[test]
+    fn metrics_export_resident_state_per_repository() {
+        let state = state();
+        let repo = state.engine.catalog().get_or_create_cache("resident-probe");
+        let item = qurator_rdf::term::Term::iri("urn:lsid:t:h:resident");
+        repo.annotate(&item, &qurator_rdf::namespace::q::iri("HitRatio"), 0.5.into()).unwrap();
+        let r = route(&state, "GET", "/metrics", "");
+        assert_eq!(r.status, 200);
+        let triples = format!("store.resident.triples{{repo=\"resident-probe\"}} {}\n", 3);
+        let terms =
+            format!("store.resident.terms{{repo=\"resident-probe\"}} {}\n", repo.term_count());
+        assert!(r.body.contains(&triples), "{}", r.body);
+        assert!(r.body.contains(&terms), "{}", r.body);
+        assert!(qurator_telemetry::naming::lint_metrics_text(&r.body).is_ok());
+    }
+
+    /// Records each `write` call, so a test sees how many the socket
+    /// would have received.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn framed(response: &Response, close: bool) -> String {
+        let mut out = Writes::default();
+        write_response(&mut out, response, close).unwrap();
+        assert_eq!(out.0.len(), 1, "head and body leave in one write");
+        String::from_utf8(out.0.concat()).unwrap()
+    }
+
+    #[test]
+    fn responses_are_framed_into_one_write() {
+        let mut ok = Response::json(200, "{}");
+        ok.run_id = RunId::parse("00112233445566ff");
+        assert_eq!(
+            framed(&ok, false),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\
+             X-QV-Run-Id: 00112233445566ff\r\nConnection: keep-alive\r\n\r\n{}"
+        );
+
+        let shed = Response::shed(7);
+        assert_eq!(
+            framed(&shed, true),
+            format!(
+                "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                 Content-Length: {}\r\nRetry-After: 7\r\nConnection: close\r\n\r\n{}",
+                shed.body.len(),
+                shed.body
+            )
+        );
     }
 
     #[test]
@@ -1449,6 +1565,30 @@ urn:lsid:t:h:bad\t0.1\t3\t1\n";
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).unwrap();
         assert!(rest.is_empty(), "expected EOF after Connection: close");
+
+        shutdown.store(true, Ordering::Relaxed);
+        thread.join().unwrap();
+    }
+
+    /// A response sent as head then body waits ~40 ms for the client's
+    /// delayed ACK of the head before the body leaves.
+    #[test]
+    fn keep_alive_round_trips_do_not_wait_for_delayed_acks() {
+        let (addr, shutdown, thread) = spawn(ServeConfig::default());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut round_trips: Vec<Duration> = (0..20)
+            .map(|_| {
+                let started = Instant::now();
+                stream.write_all(get("/healthz", false).as_bytes()).unwrap();
+                let (status, _, _) = read_response(&mut stream);
+                assert_eq!(status, 200);
+                started.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(median < Duration::from_millis(20), "median round trip {median:?}");
 
         shutdown.store(true, Ordering::Relaxed);
         thread.join().unwrap();

@@ -152,9 +152,9 @@ mod tests {
         let outputs: Vec<&str> = wf.outputs().map(|(n, _)| n).collect();
         assert_eq!(outputs, vec!["filter top k score"]);
 
-        // repositories were created
-        assert!(catalog.get("cache").is_some());
-        assert!(!catalog.get("cache").unwrap().is_persistent());
+        // the view's cache is minted for this workflow, not registered
+        assert!(catalog.get("cache").is_none());
+        assert!(catalog.names().is_empty());
     }
 
     #[test]

@@ -424,6 +424,10 @@ impl QualityEngine {
     }
 
     /// Compiles a spec into an executable quality workflow.
+    ///
+    /// The workflow is bound once, so a cache repository minted for it
+    /// (see [`exec::bind`]) lives as long as the workflow: every
+    /// enactment of the same compiled workflow shares it.
     pub fn compile(&self, spec: &QualityViewSpec) -> Result<Workflow> {
         let view = self.validate(spec)?;
         compile::compile(&view, &self.iq, &self.registry, &self.catalog)
@@ -878,11 +882,6 @@ impl QualityEngine {
         }
         self.ledger.record_traces_bulk(batch);
     }
-
-    /// Drops all cache-repository contents (between process executions).
-    pub fn finish_execution(&self) -> usize {
-        self.catalog.clear_caches()
-    }
 }
 
 /// The span ids one run's provenance records link to, in plan order
@@ -1047,7 +1046,6 @@ mod tests {
             ActionKind::Filter { condition: "ScoreClass in q:high, q:mid and HR_MC > 0".into() };
         let dataset = imprint_dataset();
         let interpreted = engine.execute_view(&spec, &dataset).unwrap();
-        engine.finish_execution();
         let (compiled, report) = engine
             .execute_compiled(&spec, &dataset, &PlanConfig::default(), RunId::mint())
             .unwrap();

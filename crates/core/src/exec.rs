@@ -51,6 +51,13 @@ pub struct BoundAssert {
 /// Binds a physical plan: resolves repositories by name (honouring the
 /// plan's persistence facts), looks up services in the registry, and
 /// instantiates one processor per plan node.
+///
+/// The bound plan is the execution scope of §4. A name the catalog holds
+/// resolves to that shared repository, and a persistent name the catalog
+/// lacks is registered there. A non-persistent name the catalog lacks
+/// gets a fresh in-memory cache, minted once per call and shared by every
+/// operator of this plan that names it; the catalog never sees it, and it
+/// is freed when the bound operators are dropped.
 pub fn bind(
     plan: &PhysicalPlan,
     iq: &Arc<IqModel>,
@@ -58,13 +65,22 @@ pub fn bind(
     catalog: &RepositoryCatalog,
 ) -> Result<BoundPlan> {
     let stats = Arc::new(StatsCollector::new());
-    let resolve_repo = |name: &str| -> Arc<AnnotationRepository> {
+    let mut minted: Vec<Arc<AnnotationRepository>> = Vec::new();
+    let mut resolve_repo = |name: &str| -> Arc<AnnotationRepository> {
         if let Some(repo) = catalog.get(name) {
             return repo;
         }
-        catalog
-            .create(name, plan.repository_persistent(name))
-            .unwrap_or_else(|_| catalog.get(name).expect("created concurrently"))
+        if plan.repository_persistent(name) {
+            return catalog
+                .create(name, true)
+                .unwrap_or_else(|_| catalog.get(name).expect("created concurrently"));
+        }
+        if let Some(repo) = minted.iter().find(|r| r.name() == name) {
+            return repo.clone();
+        }
+        let repo = Arc::new(AnnotationRepository::new(name, false, catalog.iq().clone()));
+        minted.push(repo.clone());
+        repo
     };
 
     let mut annotators = Vec::with_capacity(plan.annotators.len());

@@ -56,6 +56,8 @@ pub const ALLOWLIST: &[&str] = &[
     "store.compact.folded",
     "store.dict.bytes",
     "store.dict.terms",
+    "store.resident.terms",
+    "store.resident.triples",
     "store.wal.append_ns",
     "store.wal.batch_records",
     "store.wal.fsync_ns",

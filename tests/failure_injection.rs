@@ -177,7 +177,6 @@ fn deep_chain_of_tag_dependencies_compiles_and_runs() {
 
     let dataset = hits(6);
     let direct = engine.execute_view(&spec, &dataset).expect("interprets");
-    engine.finish_execution();
     let (compiled, _) = engine
         .execute_compiled(&spec, &dataset, &PlanConfig::default(), RunId::mint())
         .expect("compiled");

@@ -177,7 +177,6 @@ proptest! {
             prop_assert!(workflow.is_ok(), "accepted view failed to compile: {workflow:?}");
             // … and enacts with no execution (or any other) failure.
             let outcome = engine.execute_view(&spec, dataset());
-            engine.finish_execution();
             prop_assert!(outcome.is_ok(), "accepted view failed to enact: {:?}", outcome.err());
         }
     }
@@ -258,7 +257,6 @@ fn run_interpreted(
         .execute_interpreted(spec, dataset(), config, RunId::mint())
         .expect("accepted view runs");
     let ledger = project_ledger(&engine);
-    engine.finish_execution();
     (outcome, ledger)
 }
 
@@ -312,7 +310,6 @@ proptest! {
             .execute_compiled(&spec, dataset(), &optimize, RunId::mint())
             .expect("accepted view enacts");
         let compiled_ledger = project_ledger(&compiled_engine);
-        compiled_engine.finish_execution();
         prop_assert_eq!(&opt_outcome, &compiled_outcome, "paths disagree on the outcome");
         prop_assert_eq!(&opt_ledger, &compiled_ledger, "paths disagree on the decision ledger");
     }

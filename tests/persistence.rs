@@ -1,6 +1,7 @@
 //! Persistence integration: Turtle round-trips of annotation
-//! repositories, cache clearing between executions, and the warm-store
-//! execution path (§4's persistent-annotation scenario).
+//! repositories, persistent repositories against per-execution caches,
+//! and the warm-store execution path (§4's persistent-annotation
+//! scenario).
 
 use qurator::prelude::*;
 use qurator::spec::{ActionDecl, ActionKind, AssertionDecl, TagKind, VarDecl};
@@ -57,38 +58,48 @@ fn turtle_snapshot_restores_execution_behaviour() {
 }
 
 #[test]
-fn cache_clearing_isolates_executions() {
+fn minted_caches_isolate_executions() {
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
-    let dataset = {
-        let mut ds = DataSet::new();
-        for i in 0..5u32 {
-            ds.push(
-                item(i),
-                [
-                    ("hitRatio", EvidenceValue::from(0.2 * i as f64)),
-                    ("massCoverage", EvidenceValue::from(8.0 * i as f64)),
-                    ("peptidesCount", EvidenceValue::from(i as i64)),
-                ],
-            );
-        }
-        ds
-    };
-    engine.execute_view(&QualityViewSpec::paper_example(), &dataset).expect("runs");
-    let cache = engine.catalog().get("cache").expect("created by run");
-    assert!(cache.triple_count() > 0, "annotations written");
-    assert!(!cache.is_persistent());
-    let cleared = engine.finish_execution();
-    assert_eq!(cleared, 1);
-    assert_eq!(cache.triple_count(), 0, "cache dropped between executions");
+    let mut spec = QualityViewSpec::paper_example();
+    spec.actions[0].kind = ActionKind::Filter { condition: "HR_MC > 0".into() };
+    let group = spec.actions[0].name.clone();
+    let mut with_evidence = DataSet::new();
+    for i in 0..5u32 {
+        with_evidence.push(
+            item(i),
+            [
+                ("hitRatio", EvidenceValue::from(0.2 * i as f64)),
+                ("massCoverage", EvidenceValue::from(8.0 * i as f64)),
+                ("peptidesCount", EvidenceValue::from(i as i64)),
+            ],
+        );
+    }
+    let first = engine.execute_view(&spec, &with_evidence).expect("runs");
+    assert!(!first.group(&group).expect("group").dataset.is_empty(), "annotated items accepted");
+    assert!(engine.catalog().get("cache").is_none(), "the run's cache is not registered");
+
+    // the same ids without evidence: nothing the first run annotated is
+    // visible, so nothing is accepted (as on a fresh engine)
+    let second = engine.execute_view(&spec, &DataSet::from_items((0..5).map(item))).expect("runs");
+    assert!(second.group(&group).expect("group").dataset.is_empty());
+    assert!(engine.catalog().names().is_empty());
 }
 
 #[test]
-fn persistent_repositories_survive_finish_execution() {
+fn persistent_repositories_survive_across_executions() {
     let engine = QualityEngine::with_proteomics_defaults().expect("engine");
     let uniprot = engine.catalog().create("uniprot", true).expect("create");
-    uniprot.annotate(&item(1), &q::iri("HitRatio"), 0.9.into()).expect("annotate");
-    engine.finish_execution();
-    assert_eq!(uniprot.triple_count(), 3);
+    for i in 0..4u32 {
+        uniprot.annotate(&item(i), &q::iri("HitRatio"), (i as f64).into()).expect("annotate");
+    }
+    let view = enrichment_only_view("uniprot");
+    let dataset = DataSet::from_items((0..4).map(item));
+    let first = engine.execute_view(&view, &dataset).expect("runs");
+    let second = engine.execute_view(&view, &dataset).expect("runs");
+    assert_eq!(first, second, "the persistent evidence is read again");
+    assert!(!first.groups[0].dataset.is_empty());
+    assert_eq!(uniprot.triple_count(), 12);
+    assert_eq!(engine.catalog().names(), vec!["uniprot".to_string()]);
 }
 
 #[test]
